@@ -185,24 +185,24 @@ func WithParallelism(lanes int) Option {
 // Solver selects the synchronization backend (see WithSolver).
 type Solver = core.Solver
 
-// Solver backends. SolverAuto (the default) picks dense or sparse from the
-// instance's size and density; the explicit values force a backend.
+// Solver values. Every solver runs the same exact path — sync components
+// are found first and each is closed and solved on its own — and differ
+// only in how they treat large components.
 const (
 	SolverAuto         = core.SolverAuto
-	SolverDense        = core.SolverDense
-	SolverSparse       = core.SolverSparse
+	SolverExact        = core.SolverExact
 	SolverHierarchical = core.SolverHierarchical
 )
 
-// WithSolver forces a synchronization backend. The default, SolverAuto,
-// solves small or dense instances with the O(n^3)/O(n^2) dense kernels
-// and routes large sparse instances through the CSR pipeline, escalating
-// to the two-level hierarchical solver only for components too large to
-// close exactly. SolverDense, SolverSparse and SolverHierarchical force
-// their respective paths; dense and sparse results are bit-identical,
-// while the hierarchical solver certifies a sound (possibly looser)
-// precision without ever materializing an n x n matrix. See
-// docs/performance.md for the crossover measurements.
+// WithSolver chooses exact or hierarchical treatment of large sync
+// components. The default, SolverAuto, solves every component of up to
+// 2048 processors exactly and hands larger ones to the two-level
+// hierarchical solver. SolverExact solves every component exactly,
+// whatever its size; SolverHierarchical uses the hierarchical solver for
+// every component above the cluster size, certifying a sound (possibly
+// looser) precision without ever materializing an n x n matrix. The
+// input format (dense or CSR) is chosen from the input, not by this
+// option. See docs/performance.md for the measurements.
 func WithSolver(s Solver) Option {
 	return func(o *core.Options) { o.Solver = s }
 }

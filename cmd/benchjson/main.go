@@ -232,9 +232,8 @@ func suite(quick bool) []bench {
 	}
 
 	// Sparse-native solves: ring-of-cliques topologies through the held
-	// Synchronizer's CSR entry point with the hierarchical backend — the
-	// regime the dense pipeline cannot touch (an n x n matrix at n=10k is
-	// ~800 MB). Entries share the calibrated ns/op and alloc gates with
+	// Synchronizer's CSR entry point with the hierarchical solver — the
+	// regime no n x n matrix can touch (one at n=10k is ~800 MB). Entries share the calibrated ns/op and alloc gates with
 	// everything else; compare() additionally enforces an absolute
 	// bytes-per-op ceiling on the 10k entry.
 	sparse := []struct {

@@ -48,7 +48,7 @@ func run(args []string) (int, error) {
 		outDir  = fs.String("out", "genfuzz-out", "directory for reproducer files")
 		replay  = fs.String("replay", "", "re-check a reproducer or golden scenario file and exit")
 		promote = fs.String("promote", "", "rewrite a reproducer file into canonical golden form on stdout and exit")
-		inject  = fs.String("inject", "", "deliberately corrupt a backend to prove the harness catches it (sparse-precision|sparse-correction|hier-cert)")
+		inject  = fs.String("inject", "", "deliberately corrupt a backend to prove the harness catches it (exact-precision|auto-correction|hier-cert)")
 		verbose = fs.Bool("v", false, "log every instance, not just failures")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -79,15 +79,15 @@ func run(args []string) (int, error) {
 // blind.
 func injector(kind string) (func(core.Solver, *core.Result), error) {
 	switch kind {
-	case "sparse-precision":
+	case "exact-precision":
 		return func(s core.Solver, res *core.Result) {
-			if s == core.SolverSparse && len(res.ComponentPrecision) > 0 {
+			if s == core.SolverExact && len(res.ComponentPrecision) > 0 {
 				res.Precision += 1e-3
 			}
 		}, nil
-	case "sparse-correction":
+	case "auto-correction":
 		return func(s core.Solver, res *core.Result) {
-			if s == core.SolverSparse && len(res.Corrections) > 1 {
+			if s == core.SolverAuto && len(res.Corrections) > 1 {
 				res.Corrections[len(res.Corrections)-1] += 1e-3
 			}
 		}, nil

@@ -31,40 +31,35 @@ import (
 // m~ls equal cycle sums of mls, which are non-negative).
 var ErrInfeasible = errors.New("core: local shift estimates are infeasible (negative cycle)")
 
-// Solver selects the backend of the synchronization pipeline.
+// Solver selects how the synchronization pipeline treats large sync
+// components. Every solver shares one exact path: the sync components are
+// found on the m~ls adjacency and each is closed and solved on its own.
+// The input format (dense n×n or CSR) follows from the input itself.
 type Solver int
 
 const (
-	// SolverAuto picks the backend from the instance: dense for small or
-	// dense systems (n <= 512 or edge density above 25%), otherwise the
-	// sparse CSR pipeline with per-component exact solves up to 2048
-	// nodes and the two-level hierarchical solver beyond. Every solve
-	// that routes to the dense backend is bit-identical to SolverDense.
+	// SolverAuto closes every sync component of up to 2048 nodes exactly
+	// (or up to ClusterSize, when that is larger) and hands larger ones
+	// to the two-level hierarchical solver.
 	SolverAuto Solver = iota
-	// SolverDense forces the flat-matrix pipeline: O(n^2) memory,
-	// O(n^3) Floyd-Warshall. The reference backend.
-	SolverDense
-	// SolverSparse forces the CSR pipeline with exact per-component
-	// solves: each sync component is closed with a dense Floyd-Warshall
-	// on its own k×k submatrix, so memory is O(max component^2) instead
-	// of O(n^2) and corrections are bit-identical to SolverDense.
-	SolverSparse
-	// SolverHierarchical forces the CSR pipeline with the two-level
-	// solver for components larger than ClusterSize: clusters are solved
-	// exactly in parallel, cluster boundary nodes are synchronized over
-	// an exact contracted graph, and corrections compose. Precision is a
-	// certified upper bound (>= the optimum) instead of the optimum
-	// itself; components at most ClusterSize still solve exactly.
+	// SolverExact closes every sync component exactly, whatever its size:
+	// a dense Floyd-Warshall on its own k×k submatrix, so memory is
+	// O(largest component^2) on a CSR source.
+	SolverExact
+	// SolverHierarchical uses the two-level solver for components larger
+	// than ClusterSize: clusters are solved exactly in parallel, cluster
+	// boundary nodes are synchronized over an exact contracted graph, and
+	// corrections compose. Precision is a certified upper bound (>= the
+	// optimum) instead of the optimum itself; components at most
+	// ClusterSize still solve exactly.
 	SolverHierarchical
 )
 
 // String names the solver for logs and flags.
 func (s Solver) String() string {
 	switch s {
-	case SolverDense:
-		return "dense"
-	case SolverSparse:
-		return "sparse"
+	case SolverExact:
+		return "exact"
 	case SolverHierarchical:
 		return "hierarchical"
 	default:
@@ -119,10 +114,9 @@ type Options struct {
 	// distinguishable.
 	QualityLabel string
 
-	// Solver selects the pipeline backend; see the Solver constants. The
-	// default SolverAuto routes every instance with n <= 512 — in
-	// particular every historical scenario — through the dense backend,
-	// so existing outputs are bit-for-bit unchanged.
+	// Solver selects exact or hierarchical treatment of large sync
+	// components; see the Solver constants. The default SolverAuto solves
+	// every component of up to 2048 nodes exactly.
 	Solver Solver
 
 	// ClusterSize is the target cluster size of the hierarchical solver
@@ -160,11 +154,11 @@ type Result struct {
 	Precision float64
 
 	// MS is the matrix of estimated maximal global shifts m~s(p,q)
-	// produced by GLOBAL ESTIMATES. The sparse backends materialize it
-	// block-diagonally (cross-component entries stay +Inf — exactly the
-	// entries no bound or correction ever reads) and only up to n = 1024;
-	// beyond that MS is nil and PairBound returns an error rather than
-	// allocating an n×n matrix.
+	// produced by GLOBAL ESTIMATES, materialized block-diagonally:
+	// cross-component entries are +Inf, exactly the entries no bound or
+	// correction ever reads. It is nil when a component was solved
+	// hierarchically, and for CSR inputs beyond n = 1024, where
+	// PairBound returns an error rather than allocating an n×n matrix.
 	MS [][]float64
 
 	// Components lists the sync components (processor sets with mutually
@@ -314,7 +308,7 @@ func (r *Result) PairBound(p, q int) (float64, error) {
 		return 0, nil
 	}
 	if r.MS == nil {
-		return 0, fmt.Errorf("core: PairBound needs the m~s matrix, which the sparse solver does not materialize at n=%d (> 1024)", n)
+		return 0, fmt.Errorf("core: PairBound needs the m~s matrix, which this solve did not materialize (n=%d)", n)
 	}
 	fwd := r.MS[p][q] + r.Corrections[q] - r.Corrections[p]
 	rev := r.MS[q][p] + r.Corrections[p] - r.Corrections[q]

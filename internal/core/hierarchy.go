@@ -314,7 +314,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	}
 
 	// ---- λ_B (certified lower bound) and the working precision λ.
-	m := t.mark()
+	t.lap(phaseEstimate)
 	lambdaB := 0.0
 	{
 		var karp graph.KarpScratch
@@ -328,7 +328,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			lambdaUse = aM
 		}
 	}
-	t.addKarp(&m)
+	t.lap(phaseKarp)
 
 	// ---- Boundary corrections h over weights λ − D.
 	bfBoundary := func(transposed bool, dist []float64, parent []int) error {
@@ -536,7 +536,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			}
 		}
 	}
-	t.addCorr(&m)
+	t.lap(phaseCorrections)
 
 	a.prec[ci] = lambdaHat
 	s.lowerB[ci] = lambdaB

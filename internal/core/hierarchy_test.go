@@ -10,27 +10,27 @@ import (
 )
 
 // hierInstance builds a ring-of-cliques instance big enough that a forced
-// ClusterSize actually splits it, plus the dense reference solution.
+// ClusterSize actually splits it, plus the exact reference solution.
 func hierInstance(t *testing.T, seed int64, cliques, size int) ([][]float64, *Result) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.SparseRingOfCliques(rng, cliques, size, 0.01, 1)
 	mls := csrToMatrix(g)
-	dense, err := Synchronize(mls, Options{Solver: SolverDense})
+	exact, err := Synchronize(mls, Options{Solver: SolverExact})
 	if err != nil {
-		t.Fatalf("dense reference: %v", err)
+		t.Fatalf("exact reference: %v", err)
 	}
-	return mls, dense
+	return mls, exact
 }
 
 // TestHierarchicalSoundAndAdmissible forces the two-level solver on an
 // instance the exact path could handle, then checks the certificate
-// against the dense optimum: λ̂ must dominate the true A_max, the
+// against the exact optimum: λ̂ must dominate the true A_max, the
 // corrections must be admissible under the exact m~s at gradient λ̂, and
 // the certificate must not be wildly loose on this topology.
 func TestHierarchicalSoundAndAdmissible(t *testing.T) {
 	for _, centered := range []bool{false, true} {
-		mls, dense := hierInstance(t, 17, 10, 32) // n = 320
+		mls, exact := hierInstance(t, 17, 10, 32) // n = 320
 		hier, err := Synchronize(mls, Options{
 			Solver:      SolverHierarchical,
 			ClusterSize: 32,
@@ -40,7 +40,7 @@ func TestHierarchicalSoundAndAdmissible(t *testing.T) {
 			t.Fatalf("hierarchical (centered=%v): %v", centered, err)
 		}
 		lam := hier.Precision
-		opt := dense.Precision
+		opt := exact.Precision
 		if lam < opt-1e-9 {
 			t.Fatalf("centered=%v: certificate %v below optimum %v", centered, lam, opt)
 		}
@@ -54,10 +54,10 @@ func TestHierarchicalSoundAndAdmissible(t *testing.T) {
 		n := len(mls)
 		for p := 0; p < n; p++ {
 			for q := 0; q < n; q++ {
-				if p == q || math.IsInf(dense.MS[p][q], 1) {
+				if p == q || math.IsInf(exact.MS[p][q], 1) {
 					continue
 				}
-				if b := dense.MS[p][q] + hier.Corrections[q] - hier.Corrections[p]; b > lam+1e-6 {
+				if b := exact.MS[p][q] + hier.Corrections[q] - hier.Corrections[p]; b > lam+1e-6 {
 					t.Fatalf("centered=%v pair (%d,%d): gradient %v exceeds certificate %v",
 						centered, p, q, b, lam)
 				}
@@ -114,9 +114,9 @@ func TestHierarchicalMultiComponent(t *testing.T) {
 			mls[na+u][na+cols[e]] = wgts[e]
 		}
 	}
-	dense, err := Synchronize(mls, Options{Solver: SolverDense})
+	exact, err := Synchronize(mls, Options{Solver: SolverExact})
 	if err != nil {
-		t.Fatalf("dense: %v", err)
+		t.Fatalf("exact: %v", err)
 	}
 	hier, err := Synchronize(mls, Options{
 		Solver:      SolverHierarchical,
@@ -133,7 +133,7 @@ func TestHierarchicalMultiComponent(t *testing.T) {
 		t.Fatalf("%d components, want 2", len(hier.Components))
 	}
 	for ci := range hier.Components {
-		cp, dp := hier.ComponentPrecision[ci], dense.ComponentPrecision[ci]
+		cp, dp := hier.ComponentPrecision[ci], exact.ComponentPrecision[ci]
 		if math.IsInf(cp, 1) || math.IsNaN(cp) {
 			t.Fatalf("component %d precision %v", ci, cp)
 		}
@@ -144,12 +144,12 @@ func TestHierarchicalMultiComponent(t *testing.T) {
 }
 
 // TestHierarchicalQualityGauges: the certified gauges published for a
-// hierarchical run must bracket the dense optimum — the published
+// hierarchical run must bracket the exact optimum — the published
 // "optimal" is the contracted-graph lower bound λ_B ≤ A_max, the
 // published "achieved" is λ̂ ≥ A_max — and the per-cluster histogram
 // must have seen one sample per cluster.
 func TestHierarchicalQualityGauges(t *testing.T) {
-	mls, dense := hierInstance(t, 61, 9, 28) // n = 252
+	mls, exact := hierInstance(t, 61, 9, 28) // n = 252
 	s := NewSynchronizer()
 	defer s.Close()
 	res, err := s.Sync(mls, Options{
@@ -161,14 +161,14 @@ func TestHierarchicalQualityGauges(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 	label := "hier-gauges"
-	s.publishSparseQuality(res, nil, label)
+	s.publishQuality(res, nil, label)
 	achieved := obs.Default.Gauge(obs.Labeled("quality.precision.achieved", "session", label)).Value()
 	optimal := obs.Default.Gauge(obs.Labeled("quality.precision.optimal", "session", label)).Value()
 	if achieved != res.Precision {
 		t.Fatalf("achieved gauge %v, want %v", achieved, res.Precision)
 	}
-	if optimal > dense.Precision+1e-9 {
-		t.Fatalf("optimal gauge %v exceeds true optimum %v", optimal, dense.Precision)
+	if optimal > exact.Precision+1e-9 {
+		t.Fatalf("optimal gauge %v exceeds true optimum %v", optimal, exact.Precision)
 	}
 	if optimal <= 0 {
 		t.Fatalf("optimal gauge %v, want positive lower bound", optimal)

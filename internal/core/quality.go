@@ -175,8 +175,8 @@ func PublishQuality(res *Result, pairs [][2]int, label string, reg *obs.Registry
 	return rep
 }
 
-// publishSparseQuality publishes quality telemetry after a sparse solve.
-// With a materialized (block-diagonal) m~s it defers to PublishQuality,
+// publishQuality publishes quality telemetry after a solve. With a
+// materialized (block-diagonal) m~s it defers to PublishQuality,
 // producing the full report. Without one it publishes the certified
 // figures instead — achieved is the largest certified component bound
 // (λ̂ for hierarchical components, the exact A_max otherwise), optimal is
@@ -184,7 +184,7 @@ func PublishQuality(res *Result, pairs [][2]int, label string, reg *obs.Registry
 // quality.precision.cluster histogram of the hierarchical solver's
 // per-cluster intra-cluster bounds, so cluster-level precision stays
 // observable even when no global pair sweep is affordable.
-func (s *Synchronizer) publishSparseQuality(res *Result, pairs [][2]int, label string) {
+func (s *Synchronizer) publishQuality(res *Result, pairs [][2]int, label string) {
 	if res.MS != nil {
 		PublishQuality(res, pairs, label, nil)
 		return

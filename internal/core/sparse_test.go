@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -28,9 +29,7 @@ func csrToMatrix(g *graph.CSR) [][]float64 {
 
 // compareResultsBitIdentical asserts two results agree bit for bit on
 // corrections, precision, and component structure. MS is compared only on
-// in-component entries: the sparse backend materializes m~s
-// block-diagonally, leaving cross-component entries +Inf that the dense
-// closure may fill with one-directional distances no consumer reads.
+// in-component entries, the only ones a consumer reads.
 func compareResultsBitIdentical(t *testing.T, tag string, want, got *Result) {
 	t.Helper()
 	if !sameFloats(want.Corrections, got.Corrections) {
@@ -63,101 +62,66 @@ func compareResultsBitIdentical(t *testing.T, tag string, want, got *Result) {
 	}
 }
 
-// TestSparseMatchesDenseBitIdentical: the exact sparse path (SolverSparse,
-// and SolverHierarchical while every component fits the default cluster
-// size) must reproduce the dense backend bit for bit on randomized
-// instances — connected and disconnected, plain and centered, serial and
-// parallel.
+// TestSparseMatchesDenseBitIdentical: on randomized instances — connected
+// and disconnected, plain and centered, serial and parallel — the exact
+// path reproduces the digests pinned from the removed whole-matrix dense
+// backend, and SolverAuto and SolverHierarchical (every component fits the
+// default cluster size) agree with it bit for bit.
 func TestSparseMatchesDenseBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(40)
-		var mls [][]float64
-		if trial%2 == 0 {
-			mls = randomFeasibleMLS(rng, n)
-		} else {
-			mls = randomMLS(rng, n, 0.15+0.5*rng.Float64())
-		}
-		opts := Options{
-			Centered:    trial%3 == 0,
-			Root:        rng.Intn(n),
-			Parallelism: 1 + rng.Intn(4),
-		}
-		optsD := opts
-		optsD.Solver = SolverDense
-		want, errD := Synchronize(mls, optsD)
-		for _, solver := range []Solver{SolverSparse, SolverHierarchical} {
+	pinned := loadPinned(t)
+	pinnedRandomTrials(func(trial int, mls [][]float64, opts Options) {
+		optsE := opts
+		optsE.Solver = SolverExact
+		want, errE := Synchronize(mls, optsE)
+		checkPinned(t, pinned, fmt.Sprintf("random/%02d", trial), want, errE)
+		for _, solver := range []Solver{SolverAuto, SolverHierarchical} {
 			optsS := opts
 			optsS.Solver = solver
 			got, errS := Synchronize(mls, optsS)
-			if (errD == nil) != (errS == nil) {
-				t.Fatalf("trial %d solver %v: dense err %v, sparse err %v", trial, solver, errD, errS)
+			if (errE == nil) != (errS == nil) {
+				t.Fatalf("trial %d solver %v: exact err %v, err %v", trial, solver, errE, errS)
 			}
-			if errD != nil {
+			if errE != nil {
 				continue
 			}
 			compareResultsBitIdentical(t, solver.String(), want, got)
 		}
-	}
+	})
 }
 
 // TestSyncCSRMatchesSync: assembling the same instance via the CSR entry
-// point gives the same result as the matrix entry point.
+// point gives the same result as the dense matrix entry point, and both
+// reproduce the pinned dense-backend digests.
 func TestSyncCSRMatchesSync(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	pinned := loadPinned(t)
 	s := NewSynchronizer()
 	defer s.Close()
-	for trial := 0; trial < 20; trial++ {
-		g := graph.RandomSparse(rng, graph.SparseTopology(trial%3), 60+rng.Intn(60), 0.01, 1)
-		mls := csrToMatrix(g)
-		opts := Options{Solver: SolverSparse, Centered: trial%2 == 0}
-		want, err := Synchronize(mls, opts)
-		if err != nil {
-			t.Fatalf("Synchronize: %v", err)
-		}
+	pinnedCSRTrials(func(trial int, g *graph.CSR, opts Options) {
+		opts.Solver = SolverExact
+		name := fmt.Sprintf("csr/%02d", trial)
+		want, err := Synchronize(csrToMatrix(g), opts)
+		checkPinned(t, pinned, name, want, err)
 		got, err := s.SyncCSR(g, opts)
-		if err != nil {
-			t.Fatalf("SyncCSR: %v", err)
-		}
+		checkPinned(t, pinned, name, got, err)
 		compareResultsBitIdentical(t, "csr", want, got.Clone())
-	}
+	})
 }
 
-// TestSparseAutoLargeExact: above the dense cutoff but below the exact
-// component ceiling, SolverAuto takes the sparse path yet must still be
-// bit-identical to the dense backend (the per-component closure is exact).
+// TestSparseAutoLargeExact: a system above the dense-source cutoff of
+// SyncSystem but below the exact component ceiling solves exactly under
+// SolverAuto from either input format and reproduces the pinned
+// dense-backend digest.
 func TestSparseAutoLargeExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(555))
-	g := graph.SparseRingOfCliques(rng, 40, 14, 0.01, 1) // n = 560 > autoDenseMaxN
-	mls := csrToMatrix(g)
-	want, err := Synchronize(mls, Options{Solver: SolverDense})
-	if err != nil {
-		t.Fatalf("dense: %v", err)
-	}
-	got, err := Synchronize(mls, Options{}) // Auto
-	if err != nil {
-		t.Fatalf("auto: %v", err)
-	}
-	if !sameFloats(want.Corrections, got.Corrections) {
-		t.Fatal("auto sparse corrections differ from dense")
-	}
-	if math.Float64bits(want.Precision) != math.Float64bits(got.Precision) {
-		t.Fatalf("precision %v vs %v", want.Precision, got.Precision)
-	}
-	// Auto keeps every n <= autoDenseMaxN instance on the dense backend.
-	small := randomFeasibleMLS(rng, 24)
-	a, err := Synchronize(small, Options{})
-	if err != nil {
-		t.Fatalf("auto small: %v", err)
-	}
-	d, err := Synchronize(small, Options{Solver: SolverDense})
-	if err != nil {
-		t.Fatalf("dense small: %v", err)
-	}
-	compareResultsBitIdentical(t, "auto-small", d, a)
+	pinned := loadPinned(t)
+	g := pinnedRingOfCliques() // n = 560 > denseSourceMaxN
+	want, err := Synchronize(csrToMatrix(g), Options{Solver: SolverExact})
+	checkPinned(t, pinned, "ring-of-cliques-560", want, err)
+	var s Synchronizer
+	got, err := s.SyncCSR(g, Options{}) // Auto
+	checkPinned(t, pinned, "ring-of-cliques-560", got, err)
 }
 
-// TestSparseNoMSBeyondLimit: past msMaterializeMax the sparse pipeline
+// TestSparseNoMSBeyondLimit: past msMaterializeMax a CSR-source solve
 // returns no m~s matrix, PairBound refuses politely, and the quality
 // report degenerates to the certified precision.
 func TestSparseNoMSBeyondLimit(t *testing.T) {
@@ -191,7 +155,7 @@ func TestSparseNoMSBeyondLimit(t *testing.T) {
 
 // TestSparseSolveMemoryCeiling: a 10k-node solve must never allocate
 // anything close to the 800 MB an n×n float64 matrix would need — the
-// acceptance bar for the sparse pipeline's memory story.
+// acceptance bar for the CSR source's memory story.
 func TestSparseSolveMemoryCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node solve")
@@ -221,8 +185,9 @@ func TestSparseSolveMemoryCeiling(t *testing.T) {
 	}
 }
 
-// FuzzSparseEquivalence drives random sparse topologies through all three
-// backends: dense and exact-sparse must agree bit for bit; the
+// FuzzSparseEquivalence drives random sparse topologies through every
+// solver setting and both input formats: the dense and CSR sources of the
+// exact path must agree bit for bit, and so must SolverAuto; the
 // hierarchical solver (forced small clusters) must certify a precision at
 // least the optimum, with admissible corrections under the exact m~s.
 func FuzzSparseEquivalence(f *testing.F) {
@@ -234,24 +199,27 @@ func FuzzSparseEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.RandomSparse(rng, graph.SparseTopology(topoByte%3), n, 0.01, 1)
 		mls := csrToMatrix(g)
-		dense, errD := Synchronize(mls, Options{Solver: SolverDense})
-		sparse, errS := Synchronize(mls, Options{Solver: SolverSparse})
-		if (errD == nil) != (errS == nil) {
-			t.Fatalf("dense err %v vs sparse err %v", errD, errS)
+		exact, errE := Synchronize(mls, Options{Solver: SolverExact})
+		var s Synchronizer
+		fromCSR, errC := s.SyncCSR(g, Options{Solver: SolverExact})
+		auto, errA := Synchronize(mls, Options{})
+		if (errE == nil) != (errC == nil) || (errE == nil) != (errA == nil) {
+			t.Fatalf("dense-source err %v vs CSR-source err %v vs auto err %v", errE, errC, errA)
 		}
-		if errD != nil {
+		if errE != nil {
 			return
 		}
-		compareResultsBitIdentical(t, "fuzz", dense, sparse)
+		compareResultsBitIdentical(t, "csr-source", exact, fromCSR)
+		compareResultsBitIdentical(t, "auto", exact, auto)
 
 		hier, errH := Synchronize(mls, Options{Solver: SolverHierarchical, ClusterSize: 8})
 		if errH != nil {
 			t.Fatalf("hierarchical: %v", errH)
 		}
-		for ci, comp := range dense.Components {
-			if hier.ComponentPrecision[ci] < dense.ComponentPrecision[ci]-1e-9 {
+		for ci, comp := range exact.Components {
+			if hier.ComponentPrecision[ci] < exact.ComponentPrecision[ci]-1e-9 {
 				t.Fatalf("component %d: certified %v below optimum %v",
-					ci, hier.ComponentPrecision[ci], dense.ComponentPrecision[ci])
+					ci, hier.ComponentPrecision[ci], exact.ComponentPrecision[ci])
 			}
 			lam := hier.ComponentPrecision[ci]
 			for _, p := range comp {
@@ -259,7 +227,7 @@ func FuzzSparseEquivalence(f *testing.F) {
 					if p == q {
 						continue
 					}
-					if b := dense.MS[p][q] + hier.Corrections[q] - hier.Corrections[p]; b > lam+1e-6 {
+					if b := exact.MS[p][q] + hier.Corrections[q] - hier.Corrections[p]; b > lam+1e-6 {
 						t.Fatalf("pair (%d,%d): bound %v exceeds certificate %v", p, q, b, lam)
 					}
 				}

@@ -13,21 +13,19 @@ import (
 )
 
 // Streaming solve metrics: how often Corrections was served from the
-// certified cache, by in-place dirty-region repair, or by a full batch
-// re-solve, and how large the dirty sets were.
+// certified cache or by a full batch re-solve, and how large the dirty
+// sets were.
 var (
 	mStreamObs       = obs.Default.Counter("stream.observations")
 	mStreamCached    = obs.Default.Counter("stream.solves.cached")
-	mStreamRepaired  = obs.Default.Counter("stream.solves.repaired")
 	mStreamBatch     = obs.Default.Counter("stream.solves.batch")
 	hStreamDirtyEdge = obs.Default.Histogram("stream.dirty.edges", obs.DefSizeBuckets)
-	hStreamDirtyRgn  = obs.Default.Histogram("stream.dirty.region", obs.DefSizeBuckets)
 )
 
 // DefaultFallbackFraction is the dirty-edge fraction above which Stream
-// abandons incremental repair for a batch re-solve: past this point the
-// wavefronts overlap enough that one Floyd-Warshall pass is cheaper than
-// per-edge repair.
+// skips certifying the cache and re-solves at once: past this point the
+// certificate (O(n) per dirty edge) is unlikely to pass and only delays
+// the batch solve.
 const DefaultFallbackFraction = 0.25
 
 // Stream is the incremental face of the synchronization pipeline: it
@@ -39,23 +37,18 @@ const DefaultFallbackFraction = 0.25
 // Solve strategy, in order of preference:
 //
 //  1. Cached: every dirty edge passes graph.ClosureEdgeInert against the
-//     cached m~s closure — the previous Result is returned unchanged, and
-//     is bit-for-bit what a fresh batch solve would produce. O(dirty * n),
-//     zero allocations. This is the steady state of a converged system:
-//     once the per-link statistics have stabilized, new observations stop
-//     moving m~ls (or move it without affecting any shortest path).
-//  2. Repaired (opt-in via SetRelaxedRepair): non-inert edges are patched
-//     into the cached closure with graph.ClosureDecreaseEdge, A_max is
-//     recomputed only when the dirty region touches the cached Karp
-//     witness cycle (tightening only lowers cycle means, so an untouched
-//     witness pins A_max exactly), and corrections are re-derived by
-//     Bellman-Ford on the patched closure. Equivalent to a batch solve up
-//     to floating-point summation order — not guaranteed bit-identical,
-//     which is why it is opt-in.
-//  3. Batch: everything else — first call, non-monotone or NaN shift
-//     updates, connectivity growth, dirty fraction above the fallback
-//     threshold, failed certification in strict mode — runs the full
-//     Synchronizer pipeline on the current m~ls.
+//     cached block-diagonal m~s closure — the previous Result is returned
+//     unchanged, and is bit-for-bit what a fresh batch solve would
+//     produce. O(dirty * n), zero allocations. This is the steady state of
+//     a converged system: once the per-link statistics have stabilized,
+//     new observations stop moving m~ls (or move it without affecting any
+//     shortest path).
+//  2. Batch: everything else — first call, non-monotone or NaN shift
+//     updates, a tightening across sync components, dirty fraction above
+//     the fallback threshold, failed certification — runs the exact
+//     Synchronizer pipeline on the current m~ls, always as a dense source
+//     and always solving every component exactly (Options.Solver is
+//     ignored: the certificate needs the exact m~s).
 //
 // Reuse contract: the Result returned by Corrections (including every
 // slice it references) is owned by the Stream and remains valid only
@@ -77,18 +70,11 @@ type Stream struct {
 
 	cur       *resultArena // arena holding the cached solve
 	haveSolve bool
-	exact     bool    // baseline is bit-exact (no relaxed repair since the last batch)
 	fullDirty bool    // monotonicity lost (Grew/NaN): next solve is batch
 	dirty     []int32 // pair indices with >= 1 tightened direction since last solve
 
 	fallbackFrac float64
-	relaxed      bool
 	crossCheck   bool
-
-	// repair scratch
-	rowsScr, colsScr []int
-	touched          []int32
-	edgeMark         []bool // n*n, witness-cycle edge membership
 
 	stats StreamStats
 }
@@ -108,18 +94,19 @@ type pairEntry struct {
 type StreamStats struct {
 	Observations int64 // Observe calls accepted
 	Cached       int64 // served unchanged from the certified cache
-	Repaired     int64 // served by in-place dirty-region repair
+	Repaired     int64 // always 0: in-place repair was removed; kept for callers that report it
 	Batch        int64 // full batch re-solves
 }
 
 // NewStream builds a streaming synchronizer for an n-processor system with
 // the given links. The options mirror SynchronizeSystem: mopts controls
 // the m~ls reduction, opts the pipeline (root, centered, parallelism,
-// observer).
+// observer); opts.Solver is ignored, every solve is exact.
 func NewStream(n int, links []Link, mopts MLSOptions, opts Options) (*Stream, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: stream needs at least one processor, got %d", n)
 	}
+	opts.Solver = SolverExact
 	s := &Stream{
 		n:            n,
 		opts:         opts,
@@ -197,8 +184,8 @@ func (s *Stream) addPair(p, q int, a delay.Assumption) error {
 }
 
 // SetFallbackFraction sets the dirty-edge fraction (dirty directed edges
-// over all constrained directed edges) above which Corrections skips
-// incremental paths and re-solves from scratch. Values <= 0 force batch
+// over all constrained directed edges) above which Corrections skips the
+// cache certificate and re-solves from scratch. Values <= 0 force batch
 // on any dirt; values >= 1 never force it.
 func (s *Stream) SetFallbackFraction(f float64) {
 	if math.IsNaN(f) {
@@ -207,16 +194,9 @@ func (s *Stream) SetFallbackFraction(f float64) {
 	s.fallbackFrac = f
 }
 
-// SetRelaxedRepair toggles in-place dirty-region repair (solve strategy 2
-// above). Off — the default — every Corrections result is bit-identical
-// to a fresh batch solve; on, repaired solves are equivalent only up to
-// floating-point summation order.
-func (s *Stream) SetRelaxedRepair(on bool) { s.relaxed = on }
-
 // SetCrossCheck toggles the internal verification mode used by tests and
-// the fuzz harness: every Corrections result is compared against a fresh
-// batch solve on an independent Synchronizer — bitwise when the result
-// came from the cached path, within tolerance for relaxed repairs — and a
+// the fuzz harness: every cached Corrections result is compared bit for
+// bit against a fresh batch solve on an independent Synchronizer, and a
 // mismatch is returned as an error.
 func (s *Stream) SetCrossCheck(on bool) { s.crossCheck = on }
 
@@ -226,13 +206,9 @@ func (s *Stream) Stats() StreamStats { return s.stats }
 // N returns the number of processors.
 func (s *Stream) N() int { return s.n }
 
-// Close releases the worker pools. The Stream stays usable.
-func (s *Stream) Close() {
-	s.sync.Close()
-	if s.check != nil {
-		s.check.Close()
-	}
-}
+// Close is a no-op kept for API compatibility: a Stream holds no worker
+// pool of its own (see Synchronizer.Close).
+func (s *Stream) Close() {}
 
 // Observe folds one delivered message into the stream: the sender's clock
 // at transmission and the receiver's clock at receipt, exactly as
@@ -359,19 +335,7 @@ func (s *Stream) Corrections() (*Result, error) {
 			s.clearDirty()
 			mStreamCached.Inc()
 			s.stats.Cached++
-			hStreamDirtyRgn.Observe(0)
-			return s.finish(&s.cur.res, s.exact)
-		}
-		if s.relaxed {
-			if res, ok, err := s.repair(); err != nil {
-				return nil, err
-			} else if ok {
-				s.exact = false
-				mStreamRepaired.Inc()
-				s.stats.Repaired++
-				s.publishQuality(res)
-				return s.finish(res, false)
-			}
+			return s.finish(&s.cur.res)
 		}
 	}
 	res, err := s.batchSolve()
@@ -427,125 +391,6 @@ func (s *Stream) clearDirty() {
 	s.dirty = s.dirty[:0]
 }
 
-// repair attempts the in-place dirty-region update on the cached solve.
-// It returns ok == false (with no error) when a precondition fails and the
-// caller must batch instead: multiple sync components, connectivity
-// growth (a previously +Inf closure entry turning finite can merge
-// components), or a tightened edge closing a negative-sum cycle (which
-// the batch path reports as ErrInfeasible).
-func (s *Stream) repair() (*Result, bool, error) {
-	a := s.cur
-	if len(a.comps) != 1 {
-		return nil, false, nil
-	}
-	n := s.n
-	// Preconditions per dirty edge, checked against the still-unmodified
-	// closure; bail before mutating anything.
-	for _, idx := range s.dirty {
-		e := &s.pairs[idx]
-		if e.dirtyPQ && !repairableEdge(&a.ms, e.p, e.q, e.st.MLSPQ) {
-			return nil, false, nil
-		}
-		if e.dirtyQP && !repairableEdge(&a.ms, e.q, e.p, e.st.MLSQP) {
-			return nil, false, nil
-		}
-	}
-
-	if cap(s.rowsScr) < n {
-		s.rowsScr = make([]int, 0, n)
-		s.colsScr = make([]int, 0, n)
-	}
-	s.touched = s.touched[:0]
-	for _, idx := range s.dirty {
-		e := &s.pairs[idx]
-		if e.dirtyPQ {
-			s.touched = graph.ClosureDecreaseEdge(&a.ms, e.p, e.q, e.st.MLSPQ, s.rowsScr, s.colsScr, s.touched)
-		}
-		if e.dirtyQP {
-			s.touched = graph.ClosureDecreaseEdge(&a.ms, e.q, e.p, e.st.MLSQP, s.rowsScr, s.colsScr, s.touched)
-		}
-	}
-	hStreamDirtyRgn.Observe(float64(len(s.touched)))
-	s.clearDirty()
-	if len(s.touched) == 0 {
-		// The edges moved but no closure entry did (within-margin
-		// tightenings): the cached solve still stands.
-		return &a.res, true, nil
-	}
-
-	comp := a.comps[0]
-	aMax := a.res.Precision
-	if s.witnessTouched() {
-		// The dirty region crossed the cached critical cycle: A_max must be
-		// recomputed (it can only have decreased). Otherwise the untouched
-		// witness still attains the old value, and since every cycle mean
-		// only decreased under the pointwise-smaller closure, A_max is
-		// unchanged exactly.
-		kit := s.sync.kit(0)
-		var cyc []int
-		aMax, cyc = s.sync.componentAMax(kit, &a.ms, comp, s.sync.ensurePool(s.opts.Parallelism))
-		a.cycle = append(a.cycle[:0], cyc...)
-		if len(a.cycle) > 0 {
-			a.res.CriticalCycle = a.cycle
-		} else {
-			a.res.CriticalCycle = nil
-		}
-	}
-	a.prec[0] = aMax
-	a.res.Precision = aMax
-	kit := s.sync.kit(0)
-	if err := s.sync.componentCorrections(kit, &a.ms, comp, aMax, s.opts, a.corr, s.sync.ensurePool(s.opts.Parallelism)); err != nil {
-		// Numerical corner (negative-cycle noise): surface exactly as the
-		// batch path would after invalidating the cache.
-		s.haveSolve = false
-		return nil, false, err
-	}
-	return &a.res, true, nil
-}
-
-// repairableEdge reports whether the tightened edge u -> v with weight w
-// satisfies the ClosureDecreaseEdge preconditions against closure ms.
-func repairableEdge(ms *graph.Dense, u, v int, w float64) bool {
-	if math.IsInf(w, 1) {
-		return true // no-op edge
-	}
-	if math.IsInf(ms.At(u, v), 1) {
-		return false // new connectivity: components may merge
-	}
-	if !math.IsNaN(w) && ms.At(v, u)+w < 0 {
-		return false // would close a negative cycle: let batch report it
-	}
-	return !math.IsNaN(w)
-}
-
-// witnessTouched reports whether any repaired closure entry lies on an
-// edge of the cached critical cycle. A nil witness (degenerate extraction)
-// counts as touched, forcing the safe recompute.
-func (s *Stream) witnessTouched() bool {
-	cyc := s.cur.res.CriticalCycle
-	if len(cyc) < 2 {
-		return true
-	}
-	n := s.n
-	if len(s.edgeMark) < n*n {
-		s.edgeMark = make([]bool, n*n)
-	}
-	for k := 0; k+1 < len(cyc); k++ {
-		s.edgeMark[cyc[k]*n+cyc[k+1]] = true
-	}
-	hit := false
-	for _, t := range s.touched {
-		if s.edgeMark[t] {
-			hit = true
-			break
-		}
-	}
-	for k := 0; k+1 < len(cyc); k++ {
-		s.edgeMark[cyc[k]*n+cyc[k+1]] = false
-	}
-	return hit
-}
-
 // batchSolve runs the full pipeline on the current m~ls and installs the
 // result as the new incremental baseline.
 func (s *Stream) batchSolve() (*Result, error) {
@@ -560,23 +405,21 @@ func (s *Stream) batchSolve() (*Result, error) {
 	a := s.sync.nextArena(s.n, true)
 	a.ms.CopyFrom(&s.mls)
 	a.ms.FillDiag(0)
-	res, err := s.sync.run(a, s.n, s.opts, mark)
+	res, err := s.sync.solve(a, nil, s.opts, mark)
 	if err != nil {
 		s.haveSolve = false
 		return nil, err
 	}
 	s.cur = a
 	s.haveSolve = true
-	s.exact = true
 	s.fullDirty = false
 	s.clearDirty()
 	return res, nil
 }
 
-// finish applies the cross-check hook, when enabled, to a result produced
-// by an incremental path. bitwise selects exact comparison (cached path)
-// versus tolerance comparison (relaxed repair).
-func (s *Stream) finish(res *Result, bitwise bool) (*Result, error) {
+// finish applies the cross-check hook, when enabled, to a result served
+// from the certified cache.
+func (s *Stream) finish(res *Result) (*Result, error) {
 	if !s.crossCheck {
 		return res, nil
 	}
@@ -586,33 +429,33 @@ func (s *Stream) finish(res *Result, bitwise bool) (*Result, error) {
 	ca := s.check.nextArena(s.n, true)
 	ca.ms.CopyFrom(&s.mls)
 	ca.ms.FillDiag(0)
-	fresh, err := s.check.run(ca, s.n, s.opts, time.Time{})
+	fresh, err := s.check.solve(ca, nil, s.opts, time.Time{})
 	if err != nil {
 		return nil, fmt.Errorf("core: stream cross-check batch solve failed: %w", err)
 	}
-	if err := compareResults(res, fresh, bitwise); err != nil {
+	if err := compareResults(res, fresh); err != nil {
 		return nil, fmt.Errorf("core: stream cross-check mismatch: %w", err)
 	}
 	return res, nil
 }
 
 // compareResults checks an incremental result against a fresh batch
-// result, bitwise or within relative tolerance 1e-9.
-func compareResults(got, want *Result, bitwise bool) error {
+// result bit for bit.
+func compareResults(got, want *Result) error {
 	if len(got.Corrections) != len(want.Corrections) {
 		return fmt.Errorf("corrections length %d vs %d", len(got.Corrections), len(want.Corrections))
 	}
-	if !floatEq(got.Precision, want.Precision, bitwise) {
+	if !bitsEqual(got.Precision, want.Precision) {
 		return fmt.Errorf("precision %v vs %v", got.Precision, want.Precision)
 	}
 	for i := range got.Corrections {
-		if !floatEq(got.Corrections[i], want.Corrections[i], bitwise) {
+		if !bitsEqual(got.Corrections[i], want.Corrections[i]) {
 			return fmt.Errorf("corrections[%d] %v vs %v", i, got.Corrections[i], want.Corrections[i])
 		}
 	}
 	for i := range got.MS {
 		for j := range got.MS[i] {
-			if !floatEq(got.MS[i][j], want.MS[i][j], bitwise) {
+			if !bitsEqual(got.MS[i][j], want.MS[i][j]) {
 				return fmt.Errorf("ms[%d][%d] %v vs %v", i, j, got.MS[i][j], want.MS[i][j])
 			}
 		}
@@ -623,14 +466,7 @@ func compareResults(got, want *Result, bitwise bool) error {
 	return nil
 }
 
-// floatEq compares two floats bitwise or within relative tolerance 1e-9
-// (infinities must match exactly either way).
-func floatEq(a, b float64, bitwise bool) bool {
-	if bitwise {
-		return math.Float64bits(a) == math.Float64bits(b)
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return a == b
-	}
-	return math.Abs(a-b) <= 1e-9*(1+math.Max(math.Abs(a), math.Abs(b)))
+// bitsEqual compares two floats by bit pattern.
+func bitsEqual(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b)
 }

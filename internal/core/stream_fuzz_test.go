@@ -15,7 +15,7 @@ import (
 // observations (the Stream returns an error on any divergence, which the
 // target escalates). The tape bytes drive topology size, link mix,
 // message endpoints, clock values and solve points, so the fuzzer explores
-// cached, repaired and batch paths alike.
+// cached and batch paths alike.
 func FuzzStreamEquivalence(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 10, 20, 1, 0, 30, 10, 255, 2, 3, 5, 5})
 	f.Add([]byte{2, 1, 0, 200, 100, 255, 0, 1, 90, 120, 255})
@@ -50,11 +50,6 @@ func FuzzStreamEquivalence(f *testing.F) {
 		}
 		defer st.Close()
 		st.SetCrossCheck(true)
-		if len(tape) > 1 && tape[1]%4 == 0 {
-			// Exercise the relaxed-repair machinery too; its cross-check is
-			// tolerance-based rather than bitwise.
-			st.SetRelaxedRepair(true)
-		}
 
 		tab := trace.NewTable(n, false)
 		solves := 0
@@ -75,8 +70,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 				if werr != nil {
 					t.Fatalf("batch reference errored (%v) where stream succeeded", werr)
 				}
-				bitwise := st.Stats().Repaired == 0
-				if err := compareResults(res, want, bitwise); err != nil {
+				if err := compareResults(res, want); err != nil {
 					t.Fatalf("solve %d: stream vs batch: %v", solves, err)
 				}
 				solves++
@@ -112,8 +106,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 		if werr != nil {
 			t.Fatalf("batch reference errored (%v) where stream succeeded", werr)
 		}
-		bitwise := st.Stats().Repaired == 0
-		if err := compareResults(res, want, bitwise); err != nil {
+		if err := compareResults(res, want); err != nil {
 			t.Fatalf("final solve: stream vs batch: %v", err)
 		}
 	})

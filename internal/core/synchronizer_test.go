@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"clocksync/internal/model"
@@ -75,6 +76,7 @@ func TestSynchronizerParallelismDeterministic(t *testing.T) {
 		{16, 1, true},
 		{33, 1, true},
 		{64, 1, false},
+		{200, 1, true},   // large enough for lane-parallel kernels
 		{24, 0.2, false}, // disconnected: several sync components
 		{24, 0.2, true},
 		{40, 0.1, true},
@@ -267,5 +269,47 @@ func TestSynchronizerSystemDeterministic(t *testing.T) {
 	}
 	if rs.Precision != rp.Precision || rs.Precision != rw.Precision {
 		t.Errorf("precision differs: %v %v %v", rs.Precision, rp.Precision, rw.Precision)
+	}
+}
+
+// TestSynchronizeConcurrentSharedPools: concurrent pooled solves check
+// worker lanes out of the process-wide set, so they never share a pool
+// (whose barrier kernels would deadlock) and match the serial result bit
+// for bit, on one big component and on many small ones alike.
+func TestSynchronizeConcurrentSharedPools(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	inputs := [][][]float64{randomMLS(rng, 200, 1), randomMLS(rng, 60, 0.03)}
+	wants := make([]*Result, len(inputs))
+	for i, mls := range inputs {
+		res, err := Synchronize(mls, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = res
+	}
+	const callers = 4
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i, mls := range inputs {
+				got, err := Synchronize(mls, Options{Parallelism: 2 + c%2})
+				if err == nil {
+					err = compareResults(got, wants[i])
+				}
+				if err != nil {
+					errs[c] = err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Errorf("caller %d: %v", c, err)
+		}
 	}
 }

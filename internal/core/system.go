@@ -104,6 +104,63 @@ func mlsMatrixInto(d *graph.Dense, n int, links []Link, tab *trace.Table, opts M
 	return nil
 }
 
+// mlsCSRInto is the CSR counterpart of mlsMatrixInto: it reduces the
+// trace to estimated maximal local shifts under the per-link assumptions
+// directly into CSR form — O(links + observed pairs) work and memory,
+// never an n×n matrix. Duplicate assumptions on a pair combine by
+// minimum at Build, exactly the Theorem 5.6 intersection the dense
+// assembly applies.
+func mlsCSRInto(g *graph.CSR, n int, links []Link, tab *trace.Table, opts MLSOptions) error {
+	if tab != nil && tab.N() != n {
+		return fmt.Errorf("core: trace table covers %d processors, want %d", tab.N(), n)
+	}
+	g.Reset(n)
+	empty := trace.NewDirStats()
+	for _, l := range links {
+		if err := l.Validate(n); err != nil {
+			return err
+		}
+		pq, qp := empty, empty
+		if tab != nil {
+			pq = tab.Stats(l.P, l.Q)
+			qp = tab.Stats(l.Q, l.P)
+		}
+		mlsPQ, mlsQP := l.A.MLS(pq, qp)
+		if math.IsNaN(mlsPQ) || math.IsNaN(mlsQP) {
+			return fmt.Errorf("core: assumption %v on (p%d,p%d) produced NaN local shift", l.A, l.P, l.Q)
+		}
+		p, q := int(l.P), int(l.Q)
+		if err := g.AddEdge(p, q, mlsPQ); err != nil {
+			return fmt.Errorf("core: mls[%d][%d]: %v", p, q, err)
+		}
+		if err := g.AddEdge(q, p, mlsQP); err != nil {
+			return fmt.Errorf("core: mls[%d][%d]: %v", q, p, err)
+		}
+	}
+	if opts.AssumeNonnegative && tab != nil {
+		nb := delay.NoBounds()
+		var firstErr error
+		tab.Pairs(func(p, q model.ProcID, pq, qp trace.DirStats) {
+			if firstErr != nil {
+				return
+			}
+			mlsPQ, mlsQP := nb.MLS(pq, qp)
+			if err := g.AddEdge(int(p), int(q), mlsPQ); err != nil {
+				firstErr = fmt.Errorf("core: mls[%d][%d]: %v", p, q, err)
+				return
+			}
+			if err := g.AddEdge(int(q), int(p), mlsQP); err != nil {
+				firstErr = fmt.Errorf("core: mls[%d][%d]: %v", q, p, err)
+			}
+		})
+		if firstErr != nil {
+			return firstErr
+		}
+	}
+	g.Build()
+	return nil
+}
+
 // SynchronizeSystem is the end-to-end entry point: reduce the trace to
 // local shifts under the system's assumptions, then run GLOBAL ESTIMATES
 // and SHIFTS.

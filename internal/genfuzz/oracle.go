@@ -135,53 +135,52 @@ func (o *Oracle) Check(inst *Instance) (fs []Finding) {
 		return res, err
 	}
 
-	dense, errDense := solve(core.SolverDense, 0)
-	for _, backend := range []core.Solver{core.SolverAuto, core.SolverSparse, core.SolverHierarchical} {
+	exact, errExact := solve(core.SolverExact, 0)
+	for _, backend := range []core.Solver{core.SolverAuto, core.SolverHierarchical} {
 		got, err := solve(backend, 0)
-		if (err == nil) != (errDense == nil) {
+		if (err == nil) != (errExact == nil) {
 			fs = append(fs, Finding{
 				Category: CatErrorDivergence, Backend: backend.String(),
-				Detail: fmt.Sprintf("dense err=%v, %s err=%v", errDense, backend, err),
+				Detail: fmt.Sprintf("exact err=%v, %s err=%v", errExact, backend, err),
 			})
 			continue
 		}
-		if errDense != nil {
+		if errExact != nil {
 			continue
 		}
-		fs = append(fs, diffResults(backend.String(), dense, got)...)
+		fs = append(fs, diffResults(backend.String(), exact, got)...)
 	}
 
 	// The genuinely two-level hierarchical path: forced small clusters.
 	// Exactness is not promised, soundness is.
-	if errDense == nil {
+	if errExact == nil {
 		hier, err := solve(core.SolverHierarchical, o.hierClusterSize())
 		if err != nil {
 			fs = append(fs, Finding{Category: CatErrorDivergence, Backend: "hierarchical-clustered",
-				Detail: fmt.Sprintf("dense solved but clustered hierarchical failed: %v", err)})
+				Detail: fmt.Sprintf("exact solved but clustered hierarchical failed: %v", err)})
 		} else {
-			fs = append(fs, o.checkHierarchy(dense, hier)...)
+			fs = append(fs, o.checkHierarchy(exact, hier)...)
 		}
 	}
 
-	fs = append(fs, o.checkStream(inst, built, exec, tab, dense, errDense)...)
+	fs = append(fs, o.checkStream(inst, built, exec, tab, exact, errExact)...)
 
-	if inst.Sound && errDense == nil {
-		fs = append(fs, o.checkGroundTruth(inst, built, exec, dense)...)
+	if inst.Sound && errExact == nil {
+		fs = append(fs, o.checkGroundTruth(inst, built, exec, exact)...)
 	}
 	return fs
 }
 
-// diffResults compares an exact backend bit for bit against the dense
-// reference: corrections, precision, component structure, and the
-// in-component m~s entries (the cross-component entries are the only ones
-// the sparse backends legitimately leave +Inf).
+// diffResults compares a solver setting that must resolve to the exact
+// path bit for bit against the SolverExact reference: corrections,
+// precision, component structure, and the in-component m~s entries.
 func diffResults(backend string, want, got *core.Result) []Finding {
 	var fs []Finding
 	mism := func(detail string, args ...any) {
 		fs = append(fs, Finding{Category: CatSolverMismatch, Backend: backend, Detail: fmt.Sprintf(detail, args...)})
 	}
 	if !bitsEq(want.Precision, got.Precision) {
-		mism("precision dense=%v %s=%v", want.Precision, backend, got.Precision)
+		mism("precision exact=%v %s=%v", want.Precision, backend, got.Precision)
 	}
 	if len(want.Corrections) != len(got.Corrections) {
 		mism("corrections length %d vs %d", len(want.Corrections), len(got.Corrections))
@@ -189,7 +188,7 @@ func diffResults(backend string, want, got *core.Result) []Finding {
 	}
 	for p := range want.Corrections {
 		if !bitsEq(want.Corrections[p], got.Corrections[p]) {
-			mism("correction p%d dense=%v %s=%v", p, want.Corrections[p], backend, got.Corrections[p])
+			mism("correction p%d exact=%v %s=%v", p, want.Corrections[p], backend, got.Corrections[p])
 			return fs
 		}
 	}
@@ -203,7 +202,7 @@ func diffResults(backend string, want, got *core.Result) []Finding {
 			return fs
 		}
 		if !bitsEq(want.ComponentPrecision[ci], got.ComponentPrecision[ci]) {
-			mism("component %d precision dense=%v %s=%v", ci, want.ComponentPrecision[ci], backend, got.ComponentPrecision[ci])
+			mism("component %d precision exact=%v %s=%v", ci, want.ComponentPrecision[ci], backend, got.ComponentPrecision[ci])
 			return fs
 		}
 	}
@@ -212,7 +211,7 @@ func diffResults(backend string, want, got *core.Result) []Finding {
 			for _, p := range comp {
 				for _, q := range comp {
 					if !bitsEq(want.MS[p][q], got.MS[p][q]) {
-						mism("ms[%d][%d] dense=%v %s=%v", p, q, want.MS[p][q], backend, got.MS[p][q])
+						mism("ms[%d][%d] exact=%v %s=%v", p, q, want.MS[p][q], backend, got.MS[p][q])
 						return fs
 					}
 				}
@@ -271,7 +270,7 @@ func (o *Oracle) checkHierarchy(exact, hier *core.Result) []Finding {
 // incremental engine — in a seed-derived random interleaving, with a
 // mid-stream checkpoint — and demands bit-identity with a batch solve of
 // the same observations.
-func (o *Oracle) checkStream(inst *Instance, built *scenario.Built, exec *model.Execution, tab *trace.Table, dense *core.Result, errDense error) []Finding {
+func (o *Oracle) checkStream(inst *Instance, built *scenario.Built, exec *model.Execution, tab *trace.Table, exact *core.Result, errExact error) []Finding {
 	n := inst.Scenario.Processors
 	msgs, err := exec.Messages()
 	if err != nil {
@@ -295,9 +294,7 @@ func (o *Oracle) checkStream(inst *Instance, built *scenario.Built, exec *model.
 	// Internal cross-check mode: every Corrections call is compared against
 	// a fresh batch solve inside the Stream itself; a mismatch surfaces as
 	// an error, which the checkpoint comparison below reports as stream
-	// divergence. (Relaxed repair is deliberately left off — it only
-	// promises tolerance-level equivalence, not the bit-identity this
-	// oracle demands.)
+	// divergence.
 	st.SetCrossCheck(true)
 
 	var fs []Finding
@@ -353,7 +350,7 @@ func (o *Oracle) checkStream(inst *Instance, built *scenario.Built, exec *model.
 	if !compare("final", tab) {
 		return fs
 	}
-	if errDense == nil && len(samples) > 0 {
+	if errExact == nil && len(samples) > 0 {
 		got, err := st.Corrections()
 		if err == nil {
 			got = got.Clone() // detach from the Stream's double buffer
@@ -361,9 +358,9 @@ func (o *Oracle) checkStream(inst *Instance, built *scenario.Built, exec *model.
 		if err != nil {
 			fs = append(fs, Finding{Category: CatStream, Backend: "stream",
 				Detail: fmt.Sprintf("final corrections: %v", err)})
-		} else if !bitsEq(got.Precision, dense.Precision) {
+		} else if !bitsEq(got.Precision, exact.Precision) {
 			fs = append(fs, Finding{Category: CatStream, Backend: "stream",
-				Detail: fmt.Sprintf("final precision %v vs dense reference %v", got.Precision, dense.Precision)})
+				Detail: fmt.Sprintf("final precision %v vs exact reference %v", got.Precision, exact.Precision)})
 		}
 	}
 	return fs
@@ -373,26 +370,26 @@ func (o *Oracle) checkStream(inst *Instance, built *scenario.Built, exec *model.
 // execution must be admissible, the certificate of Lemma 4.5/Theorem 4.6
 // must close, the critical cycle must certify against true shifts, and no
 // baseline may guarantee better precision than the claimed optimum.
-func (o *Oracle) checkGroundTruth(inst *Instance, built *scenario.Built, exec *model.Execution, dense *core.Result) []Finding {
+func (o *Oracle) checkGroundTruth(inst *Instance, built *scenario.Built, exec *model.Execution, exact *core.Result) []Finding {
 	var fs []Finding
 	mopts := core.DefaultMLSOptions()
 	if err := verify.CheckAdmissible(exec, built.Links, mopts); err != nil {
 		return append(fs, Finding{Category: CatAdmissibility, Detail: err.Error()})
 	}
-	cert, err := verify.CheckOptimality(exec, built.Links, mopts, dense, o.trials(), inst.Seed^0x0b5e55ed)
+	cert, err := verify.CheckOptimality(exec, built.Links, mopts, exact, o.trials(), inst.Seed^0x0b5e55ed)
 	if err != nil {
 		return append(fs, Finding{Category: CatOptimality, Detail: fmt.Sprintf("verifier: %v", err)})
 	}
 	if err := cert.Ok(o.tol()); err != nil {
 		fs = append(fs, Finding{Category: CatOptimality, Detail: err.Error()})
 	}
-	if dense.CriticalCycle != nil {
-		if _, err := verify.ExactCertificate(exec, built.Links, mopts, dense); err != nil {
+	if exact.CriticalCycle != nil {
+		if _, err := verify.ExactCertificate(exec, built.Links, mopts, exact); err != nil {
 			fs = append(fs, Finding{Category: CatCertificate, Detail: err.Error()})
 		}
 	}
-	if len(dense.Components) == 1 && !math.IsInf(dense.Precision, 1) {
-		fs = append(fs, o.checkBaselines(inst, built, exec, dense)...)
+	if len(exact.Components) == 1 && !math.IsInf(exact.Precision, 1) {
+		fs = append(fs, o.checkBaselines(inst, built, exec, exact)...)
 	}
 	return fs
 }
@@ -401,7 +398,7 @@ func (o *Oracle) checkGroundTruth(inst *Instance, built *scenario.Built, exec *m
 // precision from ground truth: by Theorem 4.4 none can beat A_max. A
 // baseline that errors (disconnected traffic, incomplete graph) simply
 // abstains.
-func (o *Oracle) checkBaselines(inst *Instance, built *scenario.Built, exec *model.Execution, dense *core.Result) []Finding {
+func (o *Oracle) checkBaselines(inst *Instance, built *scenario.Built, exec *model.Execution, exact *core.Result) []Finding {
 	msTrue, err := verify.TrueMS(exec, built.Links, core.DefaultMLSOptions())
 	if err != nil {
 		return []Finding{{Category: CatOptimality, Detail: fmt.Sprintf("true ms: %v", err)}}
@@ -409,7 +406,7 @@ func (o *Oracle) checkBaselines(inst *Instance, built *scenario.Built, exec *mod
 	starts := exec.Starts()
 	var fs []Finding
 	for _, b := range []baseline.Baseline{baseline.NoOp{}, baseline.MidpointTree{}, baseline.LLAverage{}} {
-		corr, err := b.Corrections(exec, model.ProcID(dense.Components[0][0]))
+		corr, err := b.Corrections(exec, model.ProcID(exact.Components[0][0]))
 		if err != nil {
 			continue
 		}
@@ -417,9 +414,9 @@ func (o *Oracle) checkBaselines(inst *Instance, built *scenario.Built, exec *mod
 		if err != nil {
 			continue
 		}
-		if rb < dense.Precision-o.tol() {
+		if rb < exact.Precision-o.tol() {
 			fs = append(fs, Finding{Category: CatBaseline, Backend: b.Name(),
-				Detail: fmt.Sprintf("baseline %s guarantees %v < claimed optimum %v", b.Name(), rb, dense.Precision)})
+				Detail: fmt.Sprintf("baseline %s guarantees %v < claimed optimum %v", b.Name(), rb, exact.Precision)})
 		}
 	}
 	return fs

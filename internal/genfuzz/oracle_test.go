@@ -24,12 +24,13 @@ func firstFailing(t *testing.T, o *Oracle, category string, maxSeeds int64) (*In
 	return nil, nil
 }
 
-// TestOracleCatchesSparsePrecisionBug: a deliberately corrupted sparse
-// precision must surface as a solver-mismatch finding within a handful of
-// seeds.
+// TestOracleCatchesSparsePrecisionBug: a deliberately corrupted precision
+// on the exact path must surface as a solver-mismatch finding within a
+// handful of seeds. (The name predates the removal of the separate sparse
+// backend; the exact path is the one every solver setting shares.)
 func TestOracleCatchesSparsePrecisionBug(t *testing.T) {
 	o := &Oracle{Mutate: func(s core.Solver, res *core.Result) {
-		if s == core.SolverSparse && len(res.ComponentPrecision) > 0 {
+		if s == core.SolverExact && len(res.ComponentPrecision) > 0 {
 			res.Precision += 1e-3
 		}
 	}}
@@ -85,7 +86,7 @@ func TestOracleCatchesUnsoundHierarchyCertificate(t *testing.T) {
 // crashed fuzzer.
 func TestOracleCatchesPanic(t *testing.T) {
 	o := &Oracle{Mutate: func(s core.Solver, res *core.Result) {
-		if s == core.SolverSparse {
+		if s == core.SolverExact {
 			panic("injected solver panic")
 		}
 	}}

@@ -7,9 +7,9 @@ import (
 	"clocksync/internal/scenario"
 )
 
-func sparsePrecisionBug() *Oracle {
+func exactPrecisionBug() *Oracle {
 	return &Oracle{Mutate: func(s core.Solver, res *core.Result) {
-		if s == core.SolverSparse && len(res.ComponentPrecision) > 0 {
+		if s == core.SolverExact && len(res.ComponentPrecision) > 0 {
 			res.Precision += 1e-3
 		}
 	}}
@@ -21,7 +21,7 @@ func sparsePrecisionBug() *Oracle {
 // stay within a bounded number of oracle replays (the termination
 // guarantee, made concrete).
 func TestShrinkPreservesPredicateAndTerminates(t *testing.T) {
-	o := sparsePrecisionBug()
+	o := exactPrecisionBug()
 	cfg := DefaultConfig()
 	failures := 0
 	for seed := int64(1); seed <= 30 && failures < 8; seed++ {
@@ -58,7 +58,7 @@ func TestShrinkPreservesPredicateAndTerminates(t *testing.T) {
 // sparse off-by-epsilon must shrink to at most 6 links. (Almost every
 // seed reaches a single link; 6 is the contract.)
 func TestShrinkReachesMinimalWitness(t *testing.T) {
-	o := sparsePrecisionBug()
+	o := exactPrecisionBug()
 	cfg := DefaultConfig()
 	shrunkOne := false
 	for seed := int64(1); seed <= 20; seed++ {
@@ -167,7 +167,7 @@ func TestRoundValuesPreservesBigSeeds(t *testing.T) {
 // TestShrunkScenarioRoundTrips: the minimized scenario must survive
 // encode/parse — reproducer files are useless otherwise.
 func TestShrunkScenarioRoundTrips(t *testing.T) {
-	o := sparsePrecisionBug()
+	o := exactPrecisionBug()
 	cfg := DefaultConfig()
 	for seed := int64(1); seed <= 20; seed++ {
 		inst := Generate(seed, cfg)

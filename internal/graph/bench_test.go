@@ -94,24 +94,6 @@ func BenchmarkFloydWarshallDense(b *testing.B) {
 	}
 }
 
-func BenchmarkJohnsonDense(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
-		g := benchGraph(n, 0.2)
-		src := denseOf(g)
-		src.FillDiag(Inf)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var out Dense
-			var scratch JohnsonScratch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := AllPairsJohnsonDense(src, &out, &scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkKarpMaxMeanCycleDense(b *testing.B) {
 	for _, n := range []int{16, 64, 128} {
 		g := benchGraph(n, 1.0)

@@ -137,44 +137,6 @@ func TestCSRTranspose(t *testing.T) {
 	}
 }
 
-func TestBellmanFordCSRMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(14)
-		g, d := randomCSRAndDense(rng, n, 4*n, 0.01, 2)
-		d.FillDiag(Inf)
-		distC := make([]float64, n)
-		parC := make([]int, n)
-		distD := make([]float64, n)
-		parD := make([]int, n)
-		src := rng.Intn(n)
-		if err := BellmanFordCSR(g, src, distC, parC); err != nil {
-			t.Fatalf("BellmanFordCSR: %v", err)
-		}
-		if err := BellmanFordDense(d, src, distD, parD); err != nil {
-			t.Fatalf("BellmanFordDense: %v", err)
-		}
-		for v := 0; v < n; v++ {
-			if distC[v] != distD[v] { // bit-identical, same relaxation order
-				t.Fatalf("dist[%d]: csr %v vs dense %v", v, distC[v], distD[v])
-			}
-		}
-	}
-}
-
-func TestBellmanFordCSRNegativeCycle(t *testing.T) {
-	g := NewCSR(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, -3)
-	g.MustAddEdge(2, 0, 1)
-	g.Build()
-	dist := make([]float64, 3)
-	par := make([]int, 3)
-	if err := BellmanFordCSR(g, 0, dist, par); err == nil {
-		t.Fatal("negative cycle not detected")
-	}
-}
-
 func TestSCCCSRMatchesDigraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
@@ -209,88 +171,6 @@ func TestSCCCSRMatchesDigraph(t *testing.T) {
 					t.Fatalf("partition mismatch at (%d,%d)", a, b)
 				}
 			}
-		}
-	}
-}
-
-func TestAllPairsJohnsonCSRMatchesDigraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(12)
-		g := NewCSR(n)
-		dg := NewDigraph(n)
-		for e := 0; e < 3*n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			w := -0.2 + 2*rng.Float64()
-			g.MustAddEdge(u, v, w)
-			dg.MustAddEdge(u, v, w)
-		}
-		g.Build()
-		want, errD := AllPairsJohnson(dg)
-		var out CSR
-		var s JohnsonScratch
-		errC := AllPairsJohnsonCSR(g, &out, &s)
-		if (errD != nil) != (errC != nil) {
-			t.Fatalf("error mismatch: digraph %v vs csr %v", errD, errC)
-		}
-		if errD != nil {
-			continue // both detected a negative cycle
-		}
-		got := NewMatrix(n, Inf)
-		for u := 0; u < n; u++ {
-			cols, wgts := out.Row(u)
-			for e, v := range cols {
-				got[u][v] = wgts[e]
-			}
-		}
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				gw, ww := got[u][v], want[u][v]
-				if math.IsInf(gw, 1) != math.IsInf(ww, 1) {
-					t.Fatalf("reachability mismatch at (%d,%d): %v vs %v", u, v, gw, ww)
-				}
-				if !math.IsInf(ww, 1) && math.Abs(gw-ww) > 1e-9 {
-					t.Fatalf("dist (%d,%d): %v vs %v", u, v, gw, ww)
-				}
-			}
-		}
-	}
-}
-
-func TestMaxMeanCycleCSRMatchesDigraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(12)
-		g := NewCSR(n)
-		dg := NewDigraph(n)
-		// No duplicate (u,v) pairs: CSR min-combines duplicates while the
-		// digraph keeps parallel edges, and a max mean cycle may prefer
-		// the heavier parallel edge.
-		seen := make(map[[2]int]bool)
-		for e := 0; e < 3*n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || seen[[2]int{u, v}] {
-				continue
-			}
-			seen[[2]int{u, v}] = true
-			w := -1 + 3*rng.Float64()
-			g.MustAddEdge(u, v, w)
-			dg.MustAddEdge(u, v, w)
-		}
-		g.Build()
-		mcC, okC := MaxMeanCycleCSR(g, true)
-		mcD, okD := MaxMeanCycle(dg)
-		if okC != okD {
-			t.Fatalf("ok mismatch: %v vs %v", okC, okD)
-		}
-		if !okC {
-			continue
-		}
-		if math.Abs(mcC.Mean-mcD.Mean) > 1e-9 {
-			t.Fatalf("mean %v vs %v", mcC.Mean, mcD.Mean)
 		}
 	}
 }

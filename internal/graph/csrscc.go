@@ -8,8 +8,8 @@ package graph
 //
 // The closure of a graph has the same strongly connected components as
 // the graph itself (mutual reachability is closure-invariant), so the
-// sparse pipeline can partition on the raw m~ls adjacency where the dense
-// pipeline partitions on the m~s closure — the components are identical.
+// sync components can be found on the raw m~ls adjacency before any
+// closure exists.
 func SCCCSR(g *CSR, s *SCCScratch) int {
 	g.Build()
 	n := g.n

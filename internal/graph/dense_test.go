@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -77,6 +79,9 @@ func TestFloydWarshallDenseMatchesClassic(t *testing.T) {
 	pools := poolsUnderTest(t)
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(40)
+		if trial >= 27 {
+			n += 200 // large enough for the lane-parallel branch
+		}
 		g := RandomDigraph(rng, n, 0.4, -0.3, 1.0)
 		want := g.Matrix()
 		wantErr := FloydWarshall(want)
@@ -195,6 +200,9 @@ func TestMaxMeanCycleDenseMatchesClassic(t *testing.T) {
 	pools := poolsUnderTest(t)
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(30)
+		if trial >= 28 {
+			n += 200 // large enough for the lane-parallel branch
+		}
 		// Complete matrix: the pipeline's actual workload.
 		d := NewDense(n)
 		for i := 0; i < n; i++ {
@@ -281,41 +289,6 @@ func TestMaxMeanCycleDenseSubset(t *testing.T) {
 	}
 }
 
-// TestAllPairsJohnsonDenseMatchesFW: distances agree with Floyd-Warshall
-// within float tolerance on random sparse graphs.
-func TestAllPairsJohnsonDenseMatchesFW(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	var scratch JohnsonScratch
-	var out Dense
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(40)
-		g := RandomStronglyConnected(rng, n, 0.15, -0.05, 1.0)
-		d := denseOf(g)
-		want, err := AllPairs(g)
-		if err != nil {
-			// Rare negative cycle: Johnson must agree it is infeasible.
-			if jerr := AllPairsJohnsonDense(d, &out, &scratch); jerr != ErrNegativeCycle {
-				t.Fatalf("n=%d: FW rejected but Johnson returned %v", n, jerr)
-			}
-			continue
-		}
-		if err := AllPairsJohnsonDense(d, &out, &scratch); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				got := out.At(i, j)
-				if math.IsInf(want[i][j], 1) != math.IsInf(got, 1) {
-					t.Fatalf("n=%d: reachability (%d,%d): %v vs %v", n, i, j, got, want[i][j])
-				}
-				if diff := math.Abs(got - want[i][j]); !math.IsInf(got, 1) && diff > 1e-9*(1+math.Abs(want[i][j])) {
-					t.Fatalf("n=%d: dist (%d,%d) = %v, want %v", n, i, j, got, want[i][j])
-				}
-			}
-		}
-	}
-}
-
 func TestPoolRunAndBarrier(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -351,5 +324,52 @@ func TestPoolRunAndBarrier(t *testing.T) {
 	}
 	if NewPool(1) != nil {
 		t.Fatal("single-lane pool should be nil")
+	}
+}
+
+// TestSharedPoolsConcurrent: concurrent callers checking pools out of the
+// process-wide set never share one, so barrier-synchronized kernels on
+// every lane count finish and stay bit-identical to the serial closure.
+func TestSharedPoolsConcurrent(t *testing.T) {
+	if AcquirePool(1) != nil {
+		t.Fatal("single-lane checkout should be the nil pool")
+	}
+	ReleasePool(nil) // must not panic
+	rng := rand.New(rand.NewSource(45))
+	g := RandomDigraph(rng, 200, 0.3, 0.1, 1.0)
+	want := denseOf(g)
+	if err := FloydWarshallDense(want, nil); err != nil {
+		t.Fatal(err)
+	}
+	const callers, rounds = 6, 4
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				pool := AcquirePool(2 + c%3)
+				d := denseOf(g)
+				err := FloydWarshallDense(d, pool)
+				ReleasePool(pool)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				for i, x := range d.Data() {
+					if math.Float64bits(x) != math.Float64bits(want.Data()[i]) {
+						errs[c] = fmt.Errorf("lanes %d: entry %d = %v, want %v", pool.Lanes(), i, x, want.Data()[i])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Errorf("caller %d: %v", c, err)
+		}
 	}
 }

@@ -37,9 +37,16 @@ func (s *KarpScratch) reset(m int) {
 	s.cycle = s.cycle[:0]
 }
 
+// Reserve sizes every buffer for subsets of up to m nodes, so a sequence
+// of calls with growing subsets allocates once instead of once per size.
+func (s *KarpScratch) Reserve(m int) {
+	s.reset(m)
+}
+
 // karpMinCols is the minimum number of columns per lane in the parallel
-// walk-table update.
-const karpMinCols = 32
+// walk-table update; like fwParallelMinRows it keeps the one-barrier-per-
+// walk-length fan-out off matrices too small to repay it.
+const karpMinCols = 96
 
 // MaxMeanCycleDense computes the maximum (maximize) or minimum mean cycle
 // of the complete digraph induced by ms on the node subset comp: the edge

@@ -38,6 +38,47 @@ func NewPool(lanes int) *Pool {
 	return p
 }
 
+// shared is the process-wide set of idle worker pools, by lane count.
+var shared struct {
+	sync.Mutex
+	idle map[int][]*Pool
+}
+
+// AcquirePool checks out an idle process-wide pool with the given number
+// of lanes, creating one when none is idle; lane counts <= 1 return the
+// serial nil pool. The caller owns the pool exclusively until
+// ReleasePool, which keeps barrier-synchronized kernels deadlock-free
+// under concurrent callers. Shared pools are never closed: their number
+// is bounded by the peak count of concurrent checkouts, and checking one
+// out costs no goroutine start and no allocation once it exists.
+func AcquirePool(lanes int) *Pool {
+	if lanes <= 1 {
+		return nil
+	}
+	shared.Lock()
+	defer shared.Unlock()
+	if idle := shared.idle[lanes]; len(idle) > 0 {
+		p := idle[len(idle)-1]
+		shared.idle[lanes] = idle[:len(idle)-1]
+		return p
+	}
+	return NewPool(lanes)
+}
+
+// ReleasePool returns a pool obtained from AcquirePool to the idle set.
+// Releasing the nil pool is a no-op.
+func ReleasePool(p *Pool) {
+	if p == nil {
+		return
+	}
+	shared.Lock()
+	defer shared.Unlock()
+	if shared.idle == nil {
+		shared.idle = map[int][]*Pool{}
+	}
+	shared.idle[p.lanes] = append(shared.idle[p.lanes], p)
+}
+
 // Lanes returns the number of concurrent lanes; 1 for a nil pool.
 func (p *Pool) Lanes() int {
 	if p == nil {

@@ -14,7 +14,7 @@ type PhaseTiming struct {
 
 // RoundRecord is the flight-recorder entry for one synchronization round:
 // everything needed to diagnose it after the fact without debug logging —
-// outcome, phase timings, dirty-region stats, defense actions, and the
+// outcome, phase timings, dirty-edge stats, defense actions, and the
 // quality figures of merit.
 type RoundRecord struct {
 	// Seq is a monotone sequence number assigned by the recorder.
@@ -44,10 +44,9 @@ type RoundRecord struct {
 	Achieved float64 `json:"achieved,omitempty"`
 	Optimal  float64 `json:"optimal,omitempty"`
 	Ratio    float64 `json:"ratio,omitempty"`
-	// DirtyEdges / DirtyRegion carry the streaming engine's incremental
-	// stats when the round came from a Stream solve.
-	DirtyEdges  int `json:"dirtyEdges,omitempty"`
-	DirtyRegion int `json:"dirtyRegion,omitempty"`
+	// DirtyEdges carries the streaming engine's dirty-edge count when the
+	// round came from a Stream solve.
+	DirtyEdges int `json:"dirtyEdges,omitempty"`
 	// Phases holds the round's phase timings in completion order.
 	Phases []PhaseTiming `json:"phases,omitempty"`
 	// WallSeconds is the round's total wall-clock duration when known.

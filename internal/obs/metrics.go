@@ -66,7 +66,7 @@ type Histogram struct {
 var DefTimeBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
 // DefSizeBuckets is the default power-of-two bucket ladder for counts and
-// sizes (dirty-region extents, batch sizes): 1 .. 65536.
+// sizes (dirty-edge counts, batch sizes): 1 .. 65536.
 var DefSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
 
 func newHistogram(bounds []float64) *Histogram {

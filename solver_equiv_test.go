@@ -1,12 +1,19 @@
 package clocksync_test
 
-// Solver-backend equivalence on the repository's real workloads: every
-// reference scenario (all n <= 256, so every backend takes an exact path)
-// must produce bit-identical results under SolverAuto, SolverDense,
-// SolverSparse and SolverHierarchical, and the sparse result must pass
-// the brute-force optimality certificate from internal/verify.
+// Solver equivalence on the repository's real workloads: every reference
+// scenario (all n <= 256, so every solver setting takes the exact path)
+// must reproduce the results pinned from the removed whole-matrix dense
+// backend, produce bit-identical results under SolverAuto, SolverExact and
+// SolverHierarchical, and pass the brute-force optimality certificate
+// from internal/verify.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"clocksync"
@@ -19,7 +26,7 @@ import (
 
 // solverScenarios are the reference workloads: the example-program
 // scenarios plus a 16x16 torus, the largest (n = 256) instance on which
-// all backends still take exact paths.
+// every solver setting still takes the exact path.
 var solverScenarios = []struct {
 	name string
 	json string
@@ -87,11 +94,13 @@ var solverScenarios = []struct {
 }
 
 // TestSolverBackendsAgreeOnScenarios replays every reference scenario
-// through all four solver settings and asserts bit-identical corrections,
-// precision, and component structure against the dense baseline. The
-// hierarchical solver participates because each component fits the
-// default cluster size, so it resolves to the exact sparse path.
+// through every solver setting. The exact path must reproduce the digest
+// pinned from the removed whole-matrix dense backend, SolverAuto and
+// SolverHierarchical (every component fits the default cluster size, so
+// it resolves to the exact path) must agree with it bit for bit, and the
+// exact result must pass the brute-force optimality certificate.
 func TestSolverBackendsAgreeOnScenarios(t *testing.T) {
+	pinned := loadScenarioPins(t)
 	for _, c := range solverScenarios {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -119,13 +128,16 @@ func TestSolverBackendsAgreeOnScenarios(t *testing.T) {
 				}
 			}
 
-			denseOpts := c.opts
-			denseOpts.Solver = core.SolverDense
-			want, err := core.SynchronizeSystem(sc.Processors, built.Links, tab, core.DefaultMLSOptions(), denseOpts)
+			exactOpts := c.opts
+			exactOpts.Solver = core.SolverExact
+			want, err := core.SynchronizeSystem(sc.Processors, built.Links, tab, core.DefaultMLSOptions(), exactOpts)
 			if err != nil {
-				t.Fatalf("dense: %v", err)
+				t.Fatalf("exact: %v", err)
 			}
-			for _, solver := range []core.Solver{core.SolverAuto, core.SolverSparse, core.SolverHierarchical} {
+			if got := scenarioDigest(want); got != pinned[c.name] {
+				t.Fatalf("exact digest %s, pinned from the dense backend %s", got, pinned[c.name])
+			}
+			for _, solver := range []core.Solver{core.SolverAuto, core.SolverHierarchical} {
 				opts := c.opts
 				opts.Solver = solver
 				got, err := core.SynchronizeSystem(sc.Processors, built.Links, tab, core.DefaultMLSOptions(), opts)
@@ -133,27 +145,21 @@ func TestSolverBackendsAgreeOnScenarios(t *testing.T) {
 					t.Fatalf("%v: %v", solver, err)
 				}
 				if !bitEqual(got.Precision, want.Precision) {
-					t.Fatalf("%v: precision %v, dense %v", solver, got.Precision, want.Precision)
+					t.Fatalf("%v: precision %v, exact %v", solver, got.Precision, want.Precision)
 				}
 				for p := range want.Corrections {
 					if !bitEqual(got.Corrections[p], want.Corrections[p]) {
-						t.Fatalf("%v: correction p%d = %v, dense %v", solver, p, got.Corrections[p], want.Corrections[p])
+						t.Fatalf("%v: correction p%d = %v, exact %v", solver, p, got.Corrections[p], want.Corrections[p])
 					}
 				}
 				if len(got.Components) != len(want.Components) {
-					t.Fatalf("%v: %d components, dense %d", solver, len(got.Components), len(want.Components))
+					t.Fatalf("%v: %d components, exact %d", solver, len(got.Components), len(want.Components))
 				}
 			}
 
-			// The sparse result must pass the paper-level certificate: the
+			// The exact result must pass the paper-level certificate: the
 			// reported precision equals the true A_max, the corrections are
 			// admissible, and random alternatives never beat the optimum.
-			sparseOpts := c.opts
-			sparseOpts.Solver = core.SolverSparse
-			res, err := core.SynchronizeSystem(sc.Processors, built.Links, tab, core.DefaultMLSOptions(), sparseOpts)
-			if err != nil {
-				t.Fatalf("sparse: %v", err)
-			}
 			if err := verify.CheckAdmissible(exec, built.Links, core.DefaultMLSOptions()); err != nil {
 				t.Fatalf("execution not admissible: %v", err)
 			}
@@ -161,20 +167,82 @@ func TestSolverBackendsAgreeOnScenarios(t *testing.T) {
 			if sc.Processors > 64 {
 				trials = 5 // TrueMS is O(n^3); keep the big scenario quick
 			}
-			cert, err := verify.CheckOptimality(exec, built.Links, core.DefaultMLSOptions(), res, trials, 1)
+			cert, err := verify.CheckOptimality(exec, built.Links, core.DefaultMLSOptions(), want, trials, 1)
 			if err != nil {
 				t.Fatalf("certificate: %v", err)
 			}
 			if err := cert.Ok(1e-6); err != nil {
-				t.Fatalf("sparse result fails the optimality certificate: %v", err)
+				t.Fatalf("exact result fails the optimality certificate: %v", err)
 			}
 		})
 	}
 }
 
+// scenarioPinFile holds one digest per reference scenario, recorded from
+// the whole-matrix dense backend before the component-first exact path
+// replaced it. It has no -update mode: the recording backend is gone.
+const scenarioPinFile = "internal/core/testdata/exact-pinned-scenarios.golden"
+
+// loadScenarioPins reads scenarioPinFile: one "<scenario> <digest>" line
+// per reference scenario.
+func loadScenarioPins(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(scenarioPinFile)
+	if err != nil {
+		t.Fatalf("pinned golden: %v", err)
+	}
+	pinned := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("pinned golden: malformed line %q", line)
+		}
+		pinned[fields[0]] = fields[1]
+	}
+	return pinned
+}
+
+// scenarioDigest hashes the bit patterns of corrections, precision,
+// per-component precision, the component partition and the in-component
+// m~s entries — the same digest internal/core pins for its own cases.
+func scenarioDigest(res *core.Result) string {
+	h := sha256.New()
+	var buf [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	floats := func(xs []float64) {
+		word(uint64(len(xs)))
+		for _, x := range xs {
+			word(math.Float64bits(x))
+		}
+	}
+	floats(res.Corrections)
+	word(math.Float64bits(res.Precision))
+	floats(res.ComponentPrecision)
+	word(uint64(len(res.Components)))
+	for _, comp := range res.Components {
+		word(uint64(len(comp)))
+		for _, p := range comp {
+			word(uint64(p))
+		}
+	}
+	if res.MS != nil {
+		for _, comp := range res.Components {
+			for _, p := range comp {
+				for _, q := range comp {
+					word(math.Float64bits(res.MS[p][q]))
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
 // TestPublicSolverOptions exercises WithSolver and WithClusterSize at the
-// API surface: both backends must agree bit for bit through
-// System.Synchronize.
+// API surface: exact and hierarchical settings must agree bit for bit
+// through System.Synchronize while every component fits a cluster.
 func TestPublicSolverOptions(t *testing.T) {
 	sys, err := clocksync.NewSystem(3)
 	if err != nil {
@@ -196,7 +264,7 @@ func TestPublicSolverOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := sys.Synchronize(rec, clocksync.WithSolver(clocksync.SolverDense))
+	want, err := sys.Synchronize(rec, clocksync.WithSolver(clocksync.SolverExact))
 	if err != nil {
 		t.Fatal(err)
 	}

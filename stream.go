@@ -5,8 +5,8 @@ import (
 )
 
 // StreamStats counts how a Stream resolved its Corrections calls: served
-// unchanged from the certified cache, by in-place dirty-region repair, or
-// by a full batch re-solve.
+// unchanged from the certified cache or by a full batch re-solve
+// (Repaired is always 0).
 type StreamStats = core.StreamStats
 
 // Stream is the incremental interface to the synchronization pipeline for
@@ -14,9 +14,8 @@ type StreamStats = core.StreamStats
 // (each new message can only tighten its link's local-shift estimates),
 // and Corrections reuses the previous solve wherever the tightened links
 // provably cannot change it — falling back to a full batch solve when
-// they can. Results are always identical to what Synchronize would return
-// for the same observations (bit-for-bit, unless relaxed repair is
-// explicitly enabled).
+// they can. Results are always bit-for-bit identical to what Synchronize
+// would return for the same observations.
 //
 // Reuse contract: the Result returned by Corrections (including every
 // slice it references) is owned by the Stream and remains valid only
@@ -56,13 +55,6 @@ func (st *Stream) Corrections() (*Result, error) {
 	return st.s.Corrections()
 }
 
-// SetRelaxedRepair enables in-place dirty-region repair of the cached
-// solve. Off — the default — every result is bit-identical to a batch
-// solve of the same observations; on, repaired solves are equivalent only
-// up to floating-point summation order, in exchange for avoiding full
-// re-solves when observations genuinely move the estimates.
-func (st *Stream) SetRelaxedRepair(on bool) { st.s.SetRelaxedRepair(on) }
-
 // SetFallbackFraction sets the dirty-edge fraction above which
 // Corrections re-solves from scratch instead of attempting incremental
 // reuse. The default is core.DefaultFallbackFraction.
@@ -71,6 +63,6 @@ func (st *Stream) SetFallbackFraction(f float64) { st.s.SetFallbackFraction(f) }
 // Stats returns cumulative solve-path counters for this Stream.
 func (st *Stream) Stats() StreamStats { return st.s.Stats() }
 
-// Close releases the worker pools owned by the stream. The Stream stays
-// usable; a later call recreates them.
+// Close is a no-op kept for API compatibility: worker lanes are shared
+// process-wide, so a Stream holds nothing to release.
 func (st *Stream) Close() { st.s.Close() }
