@@ -348,7 +348,10 @@ func randomCompleteMLS(n int) [][]float64 {
 // calibrator times the fixed reference workload — serial dense
 // Floyd-Warshall on a pinned complete 64-node instance — keeping the
 // fastest round seen. The ratio of any benchmark to this number is a
-// machine-independent measure of pipeline cost.
+// machine-independent measure of pipeline cost. The closure is the
+// calibrator's own scalar loop, not the library kernel, so a faster
+// kernel lowers the ratios of the benchmarks that use it instead of
+// raising every other ratio.
 type calibrator struct {
 	src, d *graph.Dense
 	iters  int
@@ -377,12 +380,31 @@ func (c *calibrator) round() {
 	start := time.Now()
 	for i := 0; i < c.iters; i++ {
 		c.d.CopyFrom(c.src)
-		if err := graph.FloydWarshallDense(c.d, nil); err != nil {
-			panic(err) // complete positive matrix: cannot happen
-		}
+		closeScalar(c.d)
 	}
 	if ns := float64(time.Since(start).Nanoseconds()) / float64(c.iters); ns < c.best {
 		c.best = ns
+	}
+}
+
+// closeScalar is the classic Floyd-Warshall triple loop with a scalar,
+// branchless min — the closure every committed baseline was calibrated
+// against. It must stay as it is: changing its cost rescales every
+// calibrated figure.
+func closeScalar(d *graph.Dense) {
+	n, data := d.N(), d.Data()
+	for k := 0; k < n; k++ {
+		dk := data[k*n : k*n+n]
+		for i := 0; i < n; i++ {
+			di := data[i*n : i*n+n]
+			dik := di[k]
+			if i == k || math.IsInf(dik, 1) {
+				continue
+			}
+			for j, dkj := range dk {
+				di[j] = min(di[j], dik+dkj)
+			}
+		}
 	}
 }
 

@@ -331,6 +331,9 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	t.lap(phaseKarp)
 
 	// ---- Boundary corrections h over weights λ − D.
+	// marks is the Bellman-Ford scan-mark scratch: whole for the boundary
+	// passes, then one maxKc slice per lane for the interior extension.
+	marks := make([]bool, max(nb, lanes*maxKc))
 	bfBoundary := func(transposed bool, dist []float64, parent []int) error {
 		Wh := graph.NewDense(nb)
 		for x := 0; x < nb; x++ {
@@ -347,7 +350,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			}
 			row[x] = graph.Inf
 		}
-		return s.rootDistancesDense(Wh, 0, dist, parent)
+		return s.rootDistancesDense(Wh, 0, dist, parent, marks[:nb])
 	}
 	h := make([]float64, nb)
 	par := make([]int, nb)
@@ -369,7 +372,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	if opts.Centered {
 		fRev = make([]float64, k)
 	}
-	extendCluster := func(c int, transposed bool, hb, out []float64) error {
+	extendCluster := func(c, lane int, transposed bool, hb, out []float64) error {
 		members := clNodes[clPtr[c]:clPtr[c+1]]
 		kc := len(members)
 		Wc := graph.NewDense(kc)
@@ -401,7 +404,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 				dist[li] = hb[hIdx[v]]
 			}
 		}
-		if err := graph.BellmanFordDenseFrom(Wc, dist, parc); err != nil {
+		if err := graph.BellmanFordDenseFrom(Wc, dist, parc, marks[lane*maxKc:lane*maxKc+kc]); err != nil {
 			if errors.Is(err, graph.ErrNegativeCycle) {
 				return fmt.Errorf("%w: correction weights have a negative cycle", ErrInfeasible)
 			}
@@ -422,12 +425,12 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 		if lanes > 1 {
 			pool.Run(lanes, func(part int) {
 				for c := part; c < nclusters; c += lanes {
-					clErr[c] = extendCluster(c, transposed, hb, out)
+					clErr[c] = extendCluster(c, part, transposed, hb, out)
 				}
 			})
 		} else {
 			for c := 0; c < nclusters; c++ {
-				clErr[c] = extendCluster(c, transposed, hb, out)
+				clErr[c] = extendCluster(c, 0, transposed, hb, out)
 			}
 		}
 		for _, e := range clErr {

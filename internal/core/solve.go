@@ -151,7 +151,7 @@ func (s *Synchronizer) solve(a *resultArena, g *graph.CSR, opts Options, mark ti
 		nc = graph.SCCCSR(g, &s.scc)
 	}
 	s.layoutComponents(a, n, nc)
-	s.localIdx = growInts(s.localIdx, n)
+	s.localIdx = grow(s.localIdx, n)
 	thresh := hierThreshold(&opts)
 	maxComp, maxExact := 0, 0
 	for _, comp := range a.comps {
@@ -202,7 +202,7 @@ func (s *Synchronizer) solve(a *resultArena, g *graph.CSR, opts Options, mark ti
 	// component solve can request: ident() is then a read-only slice
 	// below the lane fan-out.
 	s.ident(maxComp)
-	s.lowerB = growFloats(s.lowerB, nc)
+	s.lowerB = grow(s.lowerB, nc)
 	if cap(s.hierQ) < nc {
 		s.hierQ = make([][]float64, nc)
 	}

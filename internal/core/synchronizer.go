@@ -63,6 +63,8 @@ type compKit struct {
 	distTo   []float64
 	parent   []int
 	parentTo []int
+	dirty    []bool // Bellman-Ford scan marks, forward and reverse
+	dirtyTo  []bool
 }
 
 // reserve sizes the kit for components of up to k nodes, so a solve
@@ -74,12 +76,14 @@ func (kit *compKit) reserve(k int, withMS, centered bool) {
 	}
 	kit.w.Reset(k)
 	kit.karp.Reserve(k)
-	kit.dist = growFloats(kit.dist, k)
-	kit.parent = growInts(kit.parent, k)
+	kit.dist = grow(kit.dist, k)
+	kit.parent = grow(kit.parent, k)
+	kit.dirty = grow(kit.dirty, k)
 	if centered {
 		kit.wT.Reset(k)
-		kit.distTo = growFloats(kit.distTo, k)
-		kit.parentTo = growInts(kit.parentTo, k)
+		kit.distTo = grow(kit.distTo, k)
+		kit.parentTo = grow(kit.parentTo, k)
+		kit.dirtyTo = grow(kit.dirtyTo, k)
 	}
 }
 
@@ -193,8 +197,8 @@ func (s *Synchronizer) nextArena(n int, dense bool) *resultArena {
 	} else {
 		a.ms.Reset(0)
 	}
-	a.corr = growFloats(a.corr, n)
-	a.compFlat = growInts(a.compFlat, n)
+	a.corr = grow(a.corr, n)
+	a.compFlat = grow(a.compFlat, n)
 	a.cycle = a.cycle[:0]
 	a.res = Result{}
 	return a
@@ -204,10 +208,10 @@ func (s *Synchronizer) nextArena(n int, dense bool) *resultArena {
 // out into arena storage: members ascending, components ordered by
 // smallest member.
 func (s *Synchronizer) layoutComponents(a *resultArena, n, nc int) {
-	s.compSize = growInts(s.compSize, nc)
-	s.compPos = growInts(s.compPos, nc)
-	s.order = growInts(s.order, nc)
-	s.compErr = growErrs(s.compErr, nc)
+	s.compSize = grow(s.compSize, nc)
+	s.compPos = grow(s.compPos, nc)
+	s.order = grow(s.order, nc)
+	s.compErr = grow(s.compErr, nc)
 	for c := 0; c < nc; c++ {
 		s.compSize[c] = 0
 		s.order[c] = c
@@ -231,7 +235,7 @@ func (s *Synchronizer) layoutComponents(a *resultArena, n, nc int) {
 		a.comps = make([][]int, nc)
 	}
 	a.comps = a.comps[:nc]
-	a.prec = growFloats(a.prec, nc)
+	a.prec = grow(a.prec, nc)
 	off := 0
 	for rank, c := range s.order {
 		a.comps[rank] = a.compFlat[off : off : off+s.compSize[c]]
@@ -267,10 +271,11 @@ func (s *Synchronizer) componentCorrections(kit *compKit, ms *graph.Dense, comp 
 	if slices.Contains(comp, opts.Root) {
 		rootLocal = slices.Index(comp, opts.Root)
 	}
-	kit.dist = growFloats(kit.dist, k)
-	kit.parent = growInts(kit.parent, k)
+	kit.dist = grow(kit.dist, k)
+	kit.parent = grow(kit.parent, k)
+	kit.dirty = grow(kit.dirty, k)
 	if !opts.Centered {
-		if err := s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent); err != nil {
+		if err := s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent, kit.dirty); err != nil {
 			return err
 		}
 		for a, p := range comp {
@@ -279,20 +284,21 @@ func (s *Synchronizer) componentCorrections(kit *compKit, ms *graph.Dense, comp 
 		return nil
 	}
 	kit.w.TransposeInto(&kit.wT)
-	kit.distTo = growFloats(kit.distTo, k)
-	kit.parentTo = growInts(kit.parentTo, k)
+	kit.distTo = grow(kit.distTo, k)
+	kit.parentTo = grow(kit.parentTo, k)
+	kit.dirtyTo = grow(kit.dirtyTo, k)
 	var errFwd, errRev error
 	if pool != nil {
 		pool.Run(2, func(part int) {
 			if part == 0 {
-				errFwd = s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent)
+				errFwd = s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent, kit.dirty)
 			} else {
-				errRev = s.rootDistancesDense(&kit.wT, rootLocal, kit.distTo, kit.parentTo)
+				errRev = s.rootDistancesDense(&kit.wT, rootLocal, kit.distTo, kit.parentTo, kit.dirtyTo)
 			}
 		})
 	} else {
-		errFwd = s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent)
-		errRev = s.rootDistancesDense(&kit.wT, rootLocal, kit.distTo, kit.parentTo)
+		errFwd = s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent, kit.dirty)
+		errRev = s.rootDistancesDense(&kit.wT, rootLocal, kit.distTo, kit.parentTo, kit.dirtyTo)
 	}
 	if errFwd != nil {
 		return errFwd
@@ -309,8 +315,8 @@ func (s *Synchronizer) componentCorrections(kit *compKit, ms *graph.Dense, comp 
 // rootDistancesDense runs dense Bellman-Ford and normalizes so the root's
 // own distance is exactly zero (tiny negative cycle noise otherwise
 // perturbs it).
-func (s *Synchronizer) rootDistancesDense(w *graph.Dense, root int, dist []float64, parent []int) error {
-	if err := graph.BellmanFordDense(w, root, dist, parent); err != nil {
+func (s *Synchronizer) rootDistancesDense(w *graph.Dense, root int, dist []float64, parent []int, dirty []bool) error {
+	if err := graph.BellmanFordDense(w, root, dist, parent, dirty); err != nil {
 		if errors.Is(err, graph.ErrNegativeCycle) {
 			// A_max is by construction the maximum cycle mean, so this can
 			// only be numerical noise; treat as infeasible input.
@@ -387,23 +393,11 @@ func validateDense(m *graph.Dense) error {
 	return nil
 }
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to n, reallocating only when its capacity is
+// short. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growErrs(s []error, n int) []error {
-	if cap(s) < n {
-		return make([]error, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

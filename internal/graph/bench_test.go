@@ -120,10 +120,11 @@ func BenchmarkBellmanFordDense(b *testing.B) {
 	src.FillDiag(Inf)
 	dist := make([]float64, 128)
 	parent := make([]int, 128)
+	dirty := make([]bool, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := BellmanFordDense(src, 0, dist, parent); err != nil {
+		if err := BellmanFordDense(src, 0, dist, parent, dirty); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -72,15 +73,23 @@ func poolsUnderTest(t *testing.T) []*Pool {
 	return []*Pool{nil, p}
 }
 
+// oddSizes are not multiples of the min-plus kernel's 4- and 8-lane
+// steps; from 197 on, a pool splits them into lanes (two, or three at 299)
+// whose column shards start mid-vector.
+var oddSizes = []int{3, 5, 7, 9, 13, 67, 197, 203, 299}
+
 // TestFloydWarshallDenseMatchesClassic: the dense kernel is bit-identical
 // to FloydWarshall on the row-sliced layout, for every pool size.
 func TestFloydWarshallDenseMatchesClassic(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pools := poolsUnderTest(t)
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 30+len(oddSizes); trial++ {
 		n := 2 + rng.Intn(40)
 		if trial >= 27 {
 			n += 200 // large enough for the lane-parallel branch
+		}
+		if trial >= 30 {
+			n = oddSizes[trial-30]
 		}
 		g := RandomDigraph(rng, n, 0.4, -0.3, 1.0)
 		want := g.Matrix()
@@ -117,7 +126,7 @@ func TestBellmanFordDenseMatchesClassic(t *testing.T) {
 		d.FillDiag(Inf) // no self edges in the adjacency view
 		dist := make([]float64, n)
 		parent := make([]int, n)
-		if err := BellmanFordDense(d, 0, dist, parent); err != nil {
+		if err := BellmanFordDense(d, 0, dist, parent, make([]bool, n)); err != nil {
 			t.Fatal(err)
 		}
 		// Row-major rebuild so edge order matches the dense scan.
@@ -148,10 +157,10 @@ func TestBellmanFordDenseMatchesClassic(t *testing.T) {
 	neg.FillDiag(Inf)
 	dist := make([]float64, 2)
 	parent := make([]int, 2)
-	if err := BellmanFordDense(neg, 0, dist, parent); err != ErrNegativeCycle {
+	if err := BellmanFordDense(neg, 0, dist, parent, make([]bool, 2)); err != ErrNegativeCycle {
 		t.Fatalf("negative cycle: err = %v", err)
 	}
-	if err := BellmanFordDense(neg, 7, dist, parent); err == nil {
+	if err := BellmanFordDense(neg, 7, dist, parent, make([]bool, 2)); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 }
@@ -192,16 +201,20 @@ func TestSCCDenseMatchesClassic(t *testing.T) {
 
 // TestMaxMeanCycleDenseMatchesClassic: cycle means agree with the
 // adjacency-list Karp within float tolerance (the walk-table source
-// differs, so ulp-level deviations are allowed), and the reported cycle is
-// genuinely critical.
+// differs, so ulp-level deviations are allowed), the reported cycle is
+// genuinely critical, and every pool size reports the serial run's mean
+// and cycle bit for bit.
 func TestMaxMeanCycleDenseMatchesClassic(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	var scratch KarpScratch
 	pools := poolsUnderTest(t)
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 30+len(oddSizes); trial++ {
 		n := 2 + rng.Intn(30)
 		if trial >= 28 {
 			n += 200 // large enough for the lane-parallel branch
+		}
+		if trial >= 30 {
+			n = oddSizes[trial-30]
 		}
 		// Complete matrix: the pipeline's actual workload.
 		d := NewDense(n)
@@ -224,11 +237,18 @@ func TestMaxMeanCycleDenseMatchesClassic(t *testing.T) {
 		if !ok {
 			t.Fatal("classic found no cycle")
 		}
+		var serial [2]MeanCycle
 		for _, pool := range pools {
-			for _, maximize := range []bool{true, false} {
+			for mi, maximize := range []bool{true, false} {
 				got, ok := MaxMeanCycleDense(d, comp, maximize, &scratch, pool)
 				if !ok {
 					t.Fatalf("n=%d: dense found no cycle", n)
+				}
+				if pool == nil {
+					serial[mi] = MeanCycle{Mean: got.Mean, Cycle: slices.Clone(got.Cycle)}
+				} else if math.Float64bits(got.Mean) != math.Float64bits(serial[mi].Mean) || !slices.Equal(got.Cycle, serial[mi].Cycle) {
+					t.Fatalf("n=%d lanes=%d maximize=%v: %v %v, serial %v %v",
+						n, pool.Lanes(), maximize, got.Mean, got.Cycle, serial[mi].Mean, serial[mi].Cycle)
 				}
 				if maximize {
 					if diff := math.Abs(got.Mean - want.Mean); diff > 1e-9*(1+math.Abs(want.Mean)) {

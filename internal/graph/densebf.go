@@ -7,21 +7,22 @@ import (
 
 // BellmanFordDense computes single-source shortest paths from src over the
 // dense weight matrix w (w[u][v] is the u->v edge weight, +Inf absent,
-// diagonal ignored — set it to +Inf). dist and parent are caller-owned
-// scratch of length w.N(); on success dist[v] is the shortest distance
-// (+Inf unreachable) and parent[v] the predecessor (-1 for the source and
-// unreachable nodes).
+// diagonal ignored — set it to +Inf). dist, parent and dirty are
+// caller-owned scratch of length w.N(); on success dist[v] is the shortest
+// distance (+Inf unreachable) and parent[v] the predecessor (-1 for the
+// source and unreachable nodes). dirty's contents on entry and return are
+// unspecified.
 //
 // The relaxation order — passes; source row u ascending; target column v
 // ascending — matches BellmanFord on a Digraph whose adjacency was built
 // in row-major order, so the dist vector is bit-identical to that path.
 // It returns ErrNegativeCycle under the same relative tolerance.
-func BellmanFordDense(w *Dense, src int, dist []float64, parent []int) error {
+func BellmanFordDense(w *Dense, src int, dist []float64, parent []int, dirty []bool) error {
 	n := w.n
 	if src < 0 || src >= n {
 		return errors.New("graph: source out of range")
 	}
-	if len(dist) != n || len(parent) != n {
+	if len(dist) != n || len(parent) != n || len(dirty) != n {
 		return errors.New("graph: scratch length mismatch")
 	}
 	for i := 0; i < n; i++ {
@@ -29,7 +30,7 @@ func BellmanFordDense(w *Dense, src int, dist []float64, parent []int) error {
 		parent[i] = -1
 	}
 	dist[src] = 0
-	return BellmanFordDenseFrom(w, dist, parent)
+	return BellmanFordDenseFrom(w, dist, parent, dirty)
 }
 
 // BellmanFordDenseFrom is BellmanFordDense with a caller-initialized
@@ -37,31 +38,43 @@ func BellmanFordDense(w *Dense, src int, dist []float64, parent []int) error {
 // that potential (the classic multi-source formulation the hierarchical
 // solver uses to extend boundary corrections into cluster interiors).
 // parent must be pre-initialized by the caller; dist entries may only
-// decrease. The relaxation order and negative-cycle tolerance are those
-// of BellmanFordDense.
-func BellmanFordDenseFrom(w *Dense, dist []float64, parent []int) error {
+// decrease. dirty is scratch as for BellmanFordDense. The relaxation order
+// and negative-cycle tolerance are those of BellmanFordDense.
+//
+// A pass scans only sources whose distance changed since their last scan
+// (dirty). Skipping the others changes no bit: after u's scan every
+// dist[v] <= dist[u] + w[u][v], and dist[v] only falls since, so a rescan
+// with an unchanged dist[u] would relax nothing. For the same reason a
+// pass that relaxes nothing ends the run without the negative-cycle pass,
+// which could then find nothing either.
+func BellmanFordDenseFrom(w *Dense, dist []float64, parent []int, dirty []bool) error {
 	n := w.n
-	if len(dist) != n || len(parent) != n {
+	if len(dist) != n || len(parent) != n || len(dirty) != n {
 		return errors.New("graph: scratch length mismatch")
+	}
+	for u := range dirty {
+		dirty[u] = true
 	}
 	for pass := 0; pass < n-1; pass++ {
 		changed := false
 		for u := 0; u < n; u++ {
 			du := dist[u]
-			if math.IsInf(du, 1) {
+			if !dirty[u] || math.IsInf(du, 1) {
 				continue
 			}
+			dirty[u] = false
 			row := w.data[u*n : u*n+n]
 			for v, wv := range row {
 				if nd := du + wv; nd < dist[v] {
 					dist[v] = nd
 					parent[v] = u
+					dirty[v] = true
 					changed = true
 				}
 			}
 		}
 		if !changed {
-			break
+			return nil
 		}
 	}
 	// One more pass: any relaxation now implies a reachable negative cycle,

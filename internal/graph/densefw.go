@@ -61,25 +61,20 @@ func FloydWarshallDense(d *Dense, pool *Pool) error {
 }
 
 // fwRelaxRows applies pivot k to rows [lo, hi), tiling the column loop.
-// The inner loop is branchless: every element stores min(d[i][j], d[i][k] +
-// d[k][j]), which the compiler lowers to a predictable MIN sequence —
-// no data-dependent branch to mispredict — and dik + (+Inf) = +Inf never
-// beats a stored distance, so absent pivot-row entries need no explicit
-// test. Inputs are NaN-free by validation, so min agrees exactly with the
-// classic compare-and-store.
+// Each row tile is one minPlus call: every element stores min(d[i][j],
+// d[i][k] + d[k][j]) with no data-dependent branch, and dik + (+Inf) =
+// +Inf never beats a stored distance, so absent pivot-row entries need no
+// explicit test. Inputs are NaN-free by validation, so min agrees exactly
+// with the classic compare-and-store.
 func fwRelaxRows(d *Dense, k, lo, hi int) {
 	n := d.n
 	dk := d.data[k*n : k*n+n]
 	for jb := 0; jb < n; jb += fwTile {
-		je := jb + fwTile
-		if je > n {
-			je = n
-		}
-		tile := dk[jb:je]
+		je := min(jb+fwTile, n)
 		for i := lo; i < hi; i++ {
 			// Row k is invariant during its own pivot (d[k][k] = 0), and the
-			// branchless store below would otherwise WRITE the unchanged
-			// values back while other lanes read them — skip it.
+			// branchless store would otherwise WRITE the unchanged values
+			// back while other lanes read them — skip it.
 			if i == k {
 				continue
 			}
@@ -88,10 +83,7 @@ func fwRelaxRows(d *Dense, k, lo, hi int) {
 			if math.IsInf(dik, 1) {
 				continue
 			}
-			row := di[jb:je]
-			for j, dkj := range tile {
-				row[j] = min(row[j], dik+dkj)
-			}
+			minPlus(di[jb:je], dk[jb:je], dik)
 		}
 	}
 }

@@ -3,12 +3,13 @@ package graph
 import "math"
 
 // KarpScratch holds every buffer MaxMeanCycleDense needs: the
-// sign-adjusted transposed weight matrix, the O(m^2) walk table D[k][v],
-// shortest-path potentials, and the tight-subgraph DFS state. The zero
-// value is ready; buffers grow to the largest component seen and are then
-// reused, so steady-state calls allocate nothing.
+// sign-adjusted weight matrix, the O(m^2) walk table D[k][v] (which the
+// critical-cycle search reuses for the transposed weights once lambda is
+// known), shortest-path potentials, and the tight-subgraph DFS state. The
+// zero value is ready; buffers grow to the largest component seen and are
+// then reused, so steady-state calls allocate nothing.
 type KarpScratch struct {
-	wT     Dense     // wT[v][u] = sign * w(u -> v); diagonal +Inf
+	w      Dense     // w[u][v] = sign * w(u -> v); diagonal +Inf
 	d      []float64 // (m+1) x m table, row-major
 	pot    []float64
 	color  []int
@@ -19,7 +20,7 @@ type KarpScratch struct {
 }
 
 func (s *KarpScratch) reset(m int) {
-	s.wT.Reset(m)
+	s.w.Reset(m)
 	if cap(s.d) < (m+1)*m {
 		s.d = make([]float64, (m+1)*m)
 	}
@@ -57,9 +58,10 @@ const karpMinCols = 96
 // algorithm. The returned cycle aliases the scratch and is valid until the
 // next call with the same scratch.
 //
-// The walk table is updated column-parallel per walk length with the
-// min-reduction over sources in fixed ascending order, so the cycle mean
-// is bit-identical for every pool size.
+// The walk table is updated column-parallel per walk length. Each entry is
+// a min over the same set of candidate sums whatever the lane split or the
+// order of sources, and min over NaN-free floats (-0 < +0) is commutative
+// and associative, so the cycle mean is bit-identical for every pool size.
 func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, pool *Pool) (MeanCycle, bool) {
 	m := len(comp)
 	if m <= 1 {
@@ -73,19 +75,19 @@ func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, poo
 	if maximize {
 		sign = -1.0 // run the min variant on negated weights
 	}
-	// Build the sign-adjusted transpose; wT rows make both the walk-table
-	// update and the potential relaxation stream contiguous memory.
-	for v := 0; v < m; v++ {
-		row := s.wT.Row(v)
-		cv := comp[v]
-		for u := 0; u < m; u++ {
-			x := ms.At(comp[u], cv)
+	// Build the sign-adjusted weights in u -> v row layout: the walk-table
+	// update pushes each source's row into the next walk length.
+	for u := 0; u < m; u++ {
+		row := s.w.Row(u)
+		src := ms.Row(comp[u])
+		for v, cv := range comp {
+			x := src[cv]
 			if math.IsInf(x, 1) {
 				return maxMeanCycleSubsetSlow(ms, comp, maximize)
 			}
-			row[u] = sign * x
+			row[v] = sign * x
 		}
-		row[v] = Inf // no self-loops
+		row[u] = Inf // no self-loops
 	}
 
 	// D[k][v] = min total adjusted weight of a walk with exactly k edges
@@ -140,46 +142,42 @@ func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, poo
 	return MeanCycle{Mean: sign * lambda, Cycle: cycle}, true
 }
 
-// karpRelaxCols computes D[k][v] for v in [lo, hi) from row k-1. The
-// min-reduction runs branchless on four independent accumulators so the
-// loop is bound by add/min throughput, not by the latency chain of a
-// single running minimum; min over NaN-free floats is associative and
-// commutative, so the striped reduction is bit-identical to a sequential
-// scan for any lane split.
+// karpRelaxCols computes D[k][v] for v in [lo, hi) from row k-1 in push
+// form: every source u with a finite D[k-1][u] relaxes the columns through
+// its weight row, one minPlus call each. A source at +Inf only offers
+// +Inf candidates, which never lower a minimum started at +Inf.
 func karpRelaxCols(s *KarpScratch, m, k, lo, hi int) {
 	prev := s.d[(k-1)*m : k*m]
-	cur := s.d[k*m : (k+1)*m]
-	for v := lo; v < hi; v++ {
-		row := s.wT.Row(v)[:len(prev)]
-		b0, b1, b2, b3 := Inf, Inf, Inf, Inf
-		u := 0
-		for ; u+4 <= len(prev); u += 4 {
-			b0 = min(b0, prev[u]+row[u])
-			b1 = min(b1, prev[u+1]+row[u+1])
-			b2 = min(b2, prev[u+2]+row[u+2])
-			b3 = min(b3, prev[u+3]+row[u+3])
+	cur := s.d[k*m+lo : k*m+hi]
+	for v := range cur {
+		cur[v] = Inf
+	}
+	for u, pu := range prev {
+		if math.IsInf(pu, 1) {
+			continue
 		}
-		best := min(min(b0, b1), min(b2, b3))
-		for ; u < len(prev); u++ {
-			best = min(best, prev[u]+row[u])
-		}
-		cur[v] = best
+		minPlus(cur, s.w.Row(u)[lo:hi], pu)
 	}
 }
 
 // criticalCycleDense finds a cycle whose adjusted mean equals lambda, as
 // criticalCycle does: shortest-path potentials under reduced weights, then
-// a DFS for a back edge in the tight subgraph. The cycle slice aliases the
-// scratch.
+// a DFS for a back edge in the tight subgraph. The potential pass pulls
+// over each target's incoming weights, so it reads the transpose, which
+// it builds in the walk table's storage (free once lambda is known). The
+// cycle slice aliases the scratch.
 func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int {
+	// wT[v*m+u] = w[u][v].
+	wT := s.d[:m*m]
 	scale := 1.0 + math.Abs(lambda)
-	for v := 0; v < m; v++ {
-		row := s.wT.Row(v)
-		for u := 0; u < m; u++ {
+	for u := 0; u < m; u++ {
+		row := s.w.Row(u)
+		for v, x := range row {
+			wT[v*m+u] = x
 			if u == v {
 				continue
 			}
-			if a := math.Abs(row[u]); a > scale {
+			if a := math.Abs(x); a > scale {
 				scale = a
 			}
 		}
@@ -195,7 +193,7 @@ func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int
 	for pass := 0; pass < m; pass++ {
 		changed := false
 		for v := 0; v < m; v++ {
-			row := s.wT.Row(v)
+			row := wT[v*m : v*m+m]
 			pv := pot[v]
 			for u, pu := range pot {
 				if u == v {
@@ -216,7 +214,7 @@ func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int
 	// Iterative DFS over the implicit tight subgraph: edge u -> v is tight
 	// when its reduced weight closes the potential gap within tolerance.
 	tight := func(u, v int) bool {
-		return math.Abs(pot[u]+s.wT.At(v, u)-lambda-pot[v]) <= 2*tol
+		return math.Abs(pot[u]+s.w.At(u, v)-lambda-pot[v]) <= 2*tol
 	}
 	const (
 		white = 0
