@@ -7,7 +7,9 @@ import (
 // wallclockPkgs are the deterministic packages: the shifting framework
 // (paper §2, §4.1–4.2) reasons about equivalent executions, which only
 // holds if replaying a simulated execution is bit-identical — so nothing
-// in these packages may read the wall clock.
+// in these packages may read the wall clock. internal/round serves both
+// the simulator and the TCP coordinator, so it takes time only from its
+// transport.
 var wallclockPkgs = []string{
 	"internal/core",
 	"internal/sim",
@@ -17,6 +19,7 @@ var wallclockPkgs = []string{
 	"internal/genfuzz",
 	"internal/trace",
 	"internal/drift",
+	"internal/round",
 	"cmd/genfuzz",
 }
 
@@ -38,7 +41,8 @@ var wallclockFuncs = map[string]bool{
 var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc: "forbid time.Now/Since/Sleep/After and friends in the deterministic packages " +
-		"(internal/core, internal/sim, internal/graph, internal/delay, internal/model); " +
+		"(internal/core, internal/sim, internal/graph, internal/delay, internal/model, " +
+		"internal/genfuzz, internal/trace, internal/drift, internal/round, cmd/genfuzz); " +
 		"simulated executions must be replayable, so wall-clock access goes through an " +
 		"injected obs.Clock (core.Options.Clock)",
 	Run: runWallClock,

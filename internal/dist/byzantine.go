@@ -184,3 +184,16 @@ func hashUnit(seed int64, a, b int) float64 {
 	x ^= x >> 31
 	return float64(x>>11)/float64(1<<53)*2 - 1
 }
+
+// withReportMutator installs the dist report mutator on fault schedules
+// that carry Byzantine entries but no protocol mutator yet, leaving the
+// caller's Faults value untouched (shallow copy). keys lets mutated
+// own-origin reports stay correctly signed when the run authenticates.
+func withReportMutator(f *sim.Faults, keys [][]byte) *sim.Faults {
+	if f == nil || len(f.Byzantine) == 0 || f.Mutator != nil {
+		return f
+	}
+	ff := *f
+	ff.Mutator = NewReportMutator(keys)
+	return &ff
+}

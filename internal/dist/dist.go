@@ -15,7 +15,8 @@
 //     that, at clock Warmup+Window+ReportGrace with whichever reports
 //     arrived (quorum instead of wait-for-all): assemble the statistics
 //     table, restrict the link set to the reporting subgraph, run GLOBAL
-//     ESTIMATES + SHIFTS, and flood the corrections.
+//     ESTIMATES + SHIFTS, and flood the corrections. internal/round makes
+//     that decision; this package moves the reports and the result.
 //  4. Apply    each processor picks its correction out of the result
 //     flood. The result names the synchronized component (the processors
 //     the precision actually covers), the missing reporters, and whether
@@ -37,14 +38,13 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"clocksync/internal/core"
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
@@ -198,11 +198,7 @@ type Probe struct {
 // DirReport is the incoming-direction summary of one link, as observed by
 // the reporting processor: statistics of estimated delays From -> To
 // (To is always the reporter).
-type DirReport struct {
-	From  model.ProcID   `json:"from"`
-	To    model.ProcID   `json:"to"`
-	Stats trace.DirStats `json:"stats"`
-}
+type DirReport = round.DirReport
 
 // Report is one processor's flooded link summary. Round stamps re-floods:
 // each (Origin, Round) flood is forwarded at most once per processor, so
@@ -282,6 +278,13 @@ type Outcome struct {
 // NewFactory returns a protocol factory implementing the leader protocol
 // and the shared Outcome it fills in.
 func NewFactory(n int, cfg Config) (sim.ProtocolFactory, *Outcome, error) {
+	return newFactory(n, cfg, false)
+}
+
+// newFactory builds one run's processors. The processors that compute —
+// the leader, or in gossip mode every processor — each hold a round.State
+// rooted at the leader.
+func newFactory(n int, cfg Config, gossip bool) (sim.ProtocolFactory, *Outcome, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(n); err != nil {
 		return nil, nil, err
@@ -291,18 +294,31 @@ func NewFactory(n int, cfg Config) (sim.ProtocolFactory, *Outcome, error) {
 		Applied:     make([]bool, n),
 		Precision:   math.NaN(),
 	}
+	label := "dist"
+	if gossip {
+		label = "gossip"
+		out.PerNode = make([][]float64, n)
+	}
 	factory := func(p model.ProcID) sim.Protocol {
-		return &proc{
-			cfg:          cfg,
-			n:            n,
-			out:          out,
-			incoming:     make(map[model.ProcID]trace.DirStats),
-			seen:         make(map[model.ProcID]bool),
-			forwarded:    make(map[floodKey]bool),
-			reportLinks:  make(map[model.ProcID][]DirReport),
-			equivocators: make(map[model.ProcID]bool),
-			rejected:     make(map[model.ProcID]bool),
+		pr := &proc{
+			cfg:         cfg,
+			n:           n,
+			out:         out,
+			incoming:    make(map[model.ProcID]trace.DirStats),
+			seen:        make(map[model.ProcID]bool),
+			forwarded:   make(map[floodKey]bool),
+			rejected:    make(map[model.ProcID]bool),
+			deadlineAll: gossip,
 		}
+		if gossip || p == cfg.Leader {
+			// Only the leader's computation is canonical: it alone
+			// publishes quality telemetry.
+			pr.round = round.New(round.Config{N: n, Root: cfg.Leader, Links: cfg.Links,
+				Centered: cfg.Centered, Parallelism: cfg.Parallelism,
+				Quality: p == cfg.Leader, Label: label,
+				Excision: cfg.Excision, ExcisionSlack: cfg.ExcisionSlack})
+		}
+		return pr
 	}
 	return factory, out, nil
 }
@@ -337,26 +353,20 @@ type proc struct {
 	resultSet bool                  // correction applied
 	rounds    int                   // own re-flood round counter (reports and, at the leader, results)
 
-	// deadlineAll makes every processor fire the report deadline (gossip
-	// variant); otherwise only the leader does.
+	// deadlineAll selects the leaderless gossip mode: every processor
+	// fires the report deadline and computes locally, and no result is
+	// flooded; otherwise only the leader computes.
 	deadlineAll bool
 
-	// leader state. Reports are retained link-by-link (not merged into a
-	// table on arrival) so excision can drop whole reports at compute
-	// time; the table is assembled then. DirStats merging is commutative,
-	// so the assembled table is bit-identical to the old incremental one.
-	table        *trace.Table
-	reportLinks  map[model.ProcID][]DirReport // first valid version per origin
-	equivocators map[model.ProcID]bool        // origins seen with conflicting versions
-	rejected     map[model.ProcID]bool        // origins with a MAC-rejected version
-	reports      int
-	computed     bool
-	result       ResultMsg
+	// Computing-processor state; round is nil on processors that only
+	// measure, report and forward.
+	round    *round.State
+	rejected map[model.ProcID]bool // origins with a MAC-rejected version
+	computed bool
+	result   ResultMsg
 }
 
 var _ sim.Protocol = (*proc)(nil)
-
-func (pr *proc) isLeader(env *sim.Env) bool { return env.Self() == pr.cfg.Leader }
 
 // OnStart schedules the probe bursts, the report deadline and any
 // re-flood rounds.
@@ -371,13 +381,13 @@ func (pr *proc) OnStart(env *sim.Env) {
 	for k := 1; k <= pr.cfg.Retries; k++ {
 		_ = env.SetTimer(reportAt+float64(k)*pr.cfg.retrySpacing(), timerReportRetry)
 	}
-	if pr.deadlineAll || pr.isLeader(env) {
+	if pr.round != nil {
 		_ = env.SetTimer(reportAt+pr.cfg.ReportGrace, timerDeadline)
 	}
 }
 
 // OnTimer sends a probe burst, emits or re-floods the report, or fires
-// the leader's quorum deadline.
+// a computing processor's quorum deadline.
 func (pr *proc) OnTimer(env *sim.Env, tag int) {
 	switch tag {
 	case timerProbe:
@@ -392,10 +402,10 @@ func (pr *proc) OnTimer(env *sim.Env, tag int) {
 	case timerReportRetry:
 		pr.refloodReport(env)
 	case timerDeadline:
-		if pr.isLeader(env) && !pr.computed {
+		if pr.round != nil && !pr.computed {
 			mDeadlineFires.Inc()
 			dLog.Debug("report grace expired: computing from quorum",
-				"leader", env.Self(), "reports", pr.reports, "n", pr.n, "clock", env.Clock())
+				"proc", env.Self(), "reports", pr.round.Reports(), "n", pr.n, "clock", env.Clock())
 			pr.compute(env)
 		}
 	case timerResultRetry:
@@ -501,284 +511,136 @@ func (pr *proc) handleReport(env *sim.Env, via model.ProcID, rep Report) {
 	pr.flood(env, via, rep)
 }
 
-// acceptReport marks the origin seen and, at the leader, authenticates
-// the wave (when keyed), checks it against any previously stored version
-// (equivocation), and stores the first valid version. The statistics
-// table is assembled at compute time so excision can drop stored reports
-// wholesale.
+// acceptReport marks the origin seen and, at a computing processor,
+// authenticates the wave (when keyed) and hands it to the round, which
+// keeps the first valid version per origin and flags conflicting later
+// ones (equivocation). A malformed report is dropped like a lost one.
 func (pr *proc) acceptReport(env *sim.Env, rep Report) {
 	first := !pr.seen[rep.Origin]
 	pr.seen[rep.Origin] = true
-	if !pr.isLeader(env) {
+	if pr.round == nil {
 		return
 	}
 	if pr.computed {
 		if first {
 			mReportsLate.Inc()
-			dLog.Debug("report arrived after compute", "leader", env.Self(), "origin", rep.Origin, "clock", env.Clock())
+			dLog.Debug("report arrived after compute", "proc", env.Self(), "origin", rep.Origin, "clock", env.Clock())
 		}
 		return
 	}
-	if int(rep.Origin) < 0 || int(rep.Origin) >= pr.n {
-		pr.fail(fmt.Errorf("dist: report origin p%d out of range [0,%d)", rep.Origin, pr.n))
-		return
-	}
-	if pr.cfg.AuthKeys != nil && !verifyReportMAC(pr.cfg.AuthKeys[rep.Origin], rep) {
+	// An out-of-range origin has no key; the round rejects it below.
+	if o := int(rep.Origin); pr.cfg.AuthKeys != nil && o >= 0 && o < pr.n && !verifyReportMAC(pr.cfg.AuthKeys[o], rep) {
 		if !pr.rejected[rep.Origin] {
 			pr.rejected[rep.Origin] = true
 			mReportsAuth.Inc()
-			dLog.Debug("report MAC rejected", "leader", env.Self(), "origin", rep.Origin, "clock", env.Clock())
+			dLog.Debug("report MAC rejected", "proc", env.Self(), "origin", rep.Origin, "clock", env.Clock())
 		}
 		return // treated like loss: the origin stays unreported unless a valid version arrives
 	}
-	if prev, stored := pr.reportLinks[rep.Origin]; stored {
-		if pr.cfg.Excision && !pr.equivocators[rep.Origin] && !sameLinks(prev, rep.Links) {
-			pr.equivocators[rep.Origin] = true
-			mEquivocations.Inc()
-			dLog.Debug("conflicting report versions: equivocation flagged",
-				"leader", env.Self(), "origin", rep.Origin, "clock", env.Clock())
-		}
+	switch v, err := pr.round.Absorb(rep.Origin, rep.Links); v {
+	case round.Rejected:
+		dLog.Debug("malformed report dropped", "proc", env.Self(), "origin", rep.Origin, "err", err)
+		return
+	case round.Equivocation:
+		mEquivocations.Inc()
+		dLog.Debug("conflicting report versions: equivocation flagged",
+			"proc", env.Self(), "origin", rep.Origin, "clock", env.Clock())
+		return
+	case round.Duplicate:
 		return
 	}
-	for _, dr := range rep.Links {
-		if dr.To != rep.Origin {
-			pr.fail(fmt.Errorf("dist: report from p%d claims stats for p%d", rep.Origin, dr.To))
-			return
-		}
-	}
 	mReportsAbsorb.Inc()
-	pr.reportLinks[rep.Origin] = rep.Links
-	pr.reports++
 	// With excision on, hold the computation to the grace deadline even
 	// once all n reports are in: early completion would trust the first
 	// version of every report before conflicting waves can surface.
-	if pr.reports == pr.n && !pr.cfg.Excision {
+	if pr.round.Reports() == pr.n && !pr.cfg.Excision {
 		pr.compute(env)
 	}
 }
 
-// sameLinks reports whether two report versions carry identical link
-// statistics. Exact float comparison is deliberate: honest re-floods are
-// byte-identical copies of the frozen report, so any difference at all
-// is a lie, never rounding.
-func sameLinks(a, b []DirReport) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].From != b[i].From || a[i].To != b[i].To || a[i].Stats.Count != b[i].Stats.Count {
-			return false
-		}
-		if a[i].Stats.Min != b[i].Stats.Min || a[i].Stats.Max != b[i].Stats.Max { //clocklint:allow floateq
-			return false
-		}
-	}
-	return true
-}
-
-// restrictLinks keeps the links with statistics from at least one
-// endpoint: the reporting subgraph. Links both of whose endpoints went
-// silent contribute no constraint (their observed extremes are the empty
-// conventions of Section 6.1) and are dropped outright.
-func restrictLinks(links []core.Link, reported map[model.ProcID]bool) []core.Link {
-	kept := make([]core.Link, 0, len(links))
-	for _, l := range links {
-		if reported[l.P] || reported[l.Q] {
-			kept = append(kept, l)
-		}
-	}
-	return kept
-}
-
-// leaderComponent returns the sync component containing the leader and
-// its precision.
-func leaderComponent(res *core.Result, leader int) ([]int, float64) {
-	for ci, comp := range res.Components {
-		for _, p := range comp {
-			if p == leader {
-				return comp, res.ComponentPrecision[ci]
-			}
-		}
-	}
-	return []int{leader}, 0
-}
-
-// compute runs the centralized pipeline at the leader on whichever
-// reports arrived (and, with Excision on, survived the consistency
-// checks) and floods the result. Missing and excised reporters degrade
-// the computation: their links keep only the surviving endpoint's
-// statistics (Lemma 6.1's worst case under the configured assumption
-// bounds), and the precision covers only the leader's sync component.
+// compute decides the round on whichever reports arrived (and, with
+// Excision on, survived the consistency checks). The leader files the
+// flight record and, outside gossip mode, floods the result; in gossip
+// mode every computing processor keeps its own correction vector.
 func (pr *proc) compute(env *sim.Env) {
 	if pr.computed {
 		return
 	}
 	pr.computed = true
-	pr.out.ReportsSeen = len(pr.reportLinks)
-	pr.out.AuthFailures = len(pr.rejected)
 	self := int(env.Self())
-	// The leader anchors the round trace: the "round" root span carries
-	// the well-known RootSpanID every other span (including the probe
-	// spans the processors recorded independently) parents under.
-	pr.cfg.Trace.Add(obs.Span{Phase: "round", Proc: -1, Start: 0, Seconds: env.Clock(),
-		Sim: true, ID: obs.RootSpanID})
+	leader := env.Self() == pr.cfg.Leader
+	if leader {
+		// The leader anchors the round trace: the "round" root span
+		// carries the well-known RootSpanID every other span (including
+		// the probe spans the processors recorded independently) parents
+		// under. In gossip mode every node computes, but only the
+		// leader's computation is the canonical outcome.
+		pr.cfg.Trace.Add(obs.Span{Phase: "round", Proc: -1, Start: 0, Seconds: env.Clock(),
+			Sim: true, ID: obs.RootSpanID})
+	}
 	// Collect phase: report instant to compute instant, on this clock.
 	reportAt := pr.cfg.Warmup + pr.cfg.Window
 	pr.cfg.Trace.AddSimChild("collect", self, 0, reportAt, env.Clock()-reportAt, obs.RootSpanID)
 	computeSpan, endCompute := pr.cfg.Trace.StartChild("compute", self, 0, obs.RootSpanID)
-
-	// Flight-record the round regardless of tracing: phase timings, the
-	// defense tallies and the quality figures land in obs.Rounds for
-	// post-hoc inspection at /debug/rounds.
-	rec := obs.RoundRecord{Session: "dist"}
-	failRound := func(err error) {
-		endCompute()
-		pr.fail(err)
-		rec.Outcome, rec.Err, rec.Precision = "failed", err.Error(), -1
-		obs.Rounds.Record(rec)
-	}
-
-	var excised, equivocators []model.ProcID
-	var excisedLinks [][2]model.ProcID
-	if pr.cfg.Excision {
-		excised, equivocators, excisedLinks = pr.excise()
-	}
-	excisedSet := make(map[model.ProcID]bool, len(excised))
-	for _, p := range excised {
-		excisedSet[p] = true
-	}
-	cutLink := make(map[trace.LinkKey]bool, len(excisedLinks))
-	for _, lk := range excisedLinks {
-		cutLink[trace.Canon(lk[0], lk[1])] = true
-	}
 	mComputes.Inc()
-
-	// Assemble the table from the surviving reports in processor order
-	// (DirStats merging is commutative, so this is bit-identical to the
-	// old merge-on-arrival table when nothing was excised) and solve.
-	// The per-link checks above cannot catch a lie that keeps every
-	// individual link inside its envelope but sums to a negative cycle
-	// around a longer loop, so under Excision an infeasible solve falls
-	// back to excising the most-suspect remaining reporter and retrying;
-	// without Excision the infeasibility is a hard failure.
-	var res *core.Result
-	var missing []model.ProcID
-	for {
-		reported := make(map[model.ProcID]bool, len(pr.reportLinks))
-		for origin := range pr.reportLinks {
-			reported[origin] = true
-		}
-		missing = nil
-		for p := 0; p < pr.n; p++ {
-			if pid := model.ProcID(p); !reported[pid] && !excisedSet[pid] {
-				missing = append(missing, pid)
-			}
-		}
-		pr.table = trace.NewTable(pr.n, false)
-		for p := 0; p < pr.n; p++ {
-			for _, dr := range pr.reportLinks[model.ProcID(p)] {
-				if cutLink[trace.Canon(dr.From, dr.To)] {
-					continue
-				}
-				if err := pr.table.MergeStats(dr.From, dr.To, dr.Stats); err != nil {
-					failRound(err)
-					return
-				}
-			}
-		}
-		links := pr.cfg.Links
-		if len(missing) > 0 || len(excised) > 0 {
-			links = restrictLinks(links, reported)
-		}
-		var err error
-		res, err = core.SynchronizeSystem(pr.n, links, pr.table, core.DefaultMLSOptions(),
-			core.Options{Root: int(pr.cfg.Leader), Centered: pr.cfg.Centered,
-				Parallelism: pr.cfg.Parallelism, Quality: true, QualityLabel: "dist",
-				Observer: pr.phaseObserver(self, computeSpan, &rec)})
-		if err == nil {
-			break
-		}
-		victim, ok := model.ProcID(0), false
-		if pr.cfg.Excision && errors.Is(err, core.ErrInfeasible) {
-			victim, ok = pr.feasibilityVictim()
-		}
-		if !ok {
-			failRound(err)
-			return
-		}
-		dLog.Debug("infeasible despite per-link checks; excising worst reporter", "victim", victim)
-		delete(pr.reportLinks, victim)
-		excised = append(excised, victim)
-		excisedSet[victim] = true
-		mReportsFlagged.Inc()
-		mReportsExcised.Inc()
-	}
+	reports := pr.round.Reports()
+	d := pr.round.Solve(pr.phaseObserver(self, computeSpan))
 	endCompute()
-	sort.Slice(excised, func(i, j int) bool { return excised[i] < excised[j] })
-	if len(missing) > 0 {
-		mReportsMissing.Add(int64(len(missing)))
+	mReportsFlagged.Add(int64(d.Flagged))
+	mReportsExcised.Add(int64(len(d.Excised)))
+	mLinksExcised.Add(int64(len(d.ExcisedLinks)))
+	if leader {
+		pr.out.ReportsSeen = reports
+		pr.out.AuthFailures = len(pr.rejected)
+		// Flight-record the round regardless of tracing: phase timings,
+		// the defense tallies and the quality figures land in obs.Rounds
+		// for post-hoc inspection at /debug/rounds.
+		d.Record.AuthFailures = len(pr.rejected)
+		obs.Rounds.Record(d.Record)
 	}
-	comp, prec := leaderComponent(res, int(pr.cfg.Leader))
-	synced := make([]bool, pr.n)
-	for _, p := range comp {
-		synced[p] = true
+	if d.Err != nil {
+		pr.fail(d.Err)
+		return
 	}
-	degraded := len(missing) > 0 || len(excised) > 0 || len(excisedLinks) > 0 || len(comp) < pr.n
-	if degraded {
+	if len(d.Missing) > 0 {
+		mReportsMissing.Add(int64(len(d.Missing)))
+	}
+	if d.Degraded {
 		mComputesDegr.Inc()
 	}
-	rec.Outcome = "ok"
-	if degraded {
-		rec.Outcome = "degraded"
+	dLog.Info("round computed", "proc", self, "reports", reports, "missing", len(d.Missing),
+		"excised", len(d.Excised), "degraded", d.Degraded, "precision", d.Precision)
+	if pr.deadlineAll {
+		pr.out.PerNode[self] = append([]float64(nil), d.Result.Corrections...)
 	}
-	rec.Synced, rec.Missing, rec.Excised = len(comp), len(missing), len(excised)
-	rec.AuthFailures = len(pr.rejected)
-	rec.Precision = prec
-	if math.IsNaN(prec) || math.IsInf(prec, 0) {
-		rec.Precision = -1
+	if !leader {
+		return
 	}
-	qr := core.AssessQuality(res)
-	rec.Achieved, rec.Optimal, rec.Ratio = qr.Achieved, qr.Optimal, qr.Ratio
-	if math.IsInf(rec.Ratio, 0) || math.IsNaN(rec.Ratio) {
-		rec.Ratio = -1 // keep the record JSON-encodable
+	pr.out.LeaderTable = d.Table
+	pr.out.Precision = d.Precision
+	pr.out.Missing = d.Missing
+	pr.out.Excised = d.Excised
+	pr.out.ExcisedLinks = d.ExcisedLinks
+	pr.out.Equivocators = d.Equivocators
+	pr.out.Degraded = d.Degraded
+	pr.out.Synced = d.Synced
+	if pr.deadlineAll {
+		return // gossip: every processor applies its own vector
 	}
-	obs.Rounds.Record(rec)
-	dLog.Info("leader computed", "leader", self, "reports", pr.out.ReportsSeen,
-		"missing", len(missing), "excised", len(excised), "degraded", degraded, "precision", prec)
-
-	pr.out.LeaderTable = pr.table
-	pr.out.Precision = prec
-	pr.out.Missing = missing
-	pr.out.Excised = excised
-	pr.out.ExcisedLinks = excisedLinks
-	pr.out.Equivocators = equivocators
-	pr.out.Degraded = degraded
-	pr.out.Synced = synced
 
 	msg := ResultMsg{
-		Corrections: res.Corrections,
-		Precision:   prec,
-		Degraded:    degraded,
-		Missing:     missing,
-		Excised:     excised,
-		Synced:      synced,
+		Corrections: d.Result.Corrections,
+		Precision:   d.Precision,
+		Degraded:    d.Degraded,
+		Missing:     d.Missing,
+		Excised:     d.Excised,
+		Synced:      d.Synced,
 	}
 	pr.result = msg
 	pr.handleResult(env, from(-1), msg)
 	for k := 1; k <= pr.cfg.Retries; k++ {
 		_ = env.SetTimer(env.Clock()+float64(k)*pr.cfg.retrySpacing(), timerResultRetry)
 	}
-}
-
-// missingProcs lists the processors absent from the reported set.
-func missingProcs(n int, reported map[model.ProcID]bool) []model.ProcID {
-	var missing []model.ProcID
-	for p := 0; p < n; p++ {
-		if !reported[model.ProcID(p)] {
-			missing = append(missing, model.ProcID(p))
-		}
-	}
-	return missing
 }
 
 // handleResult applies the first result seen and forwards each round's
@@ -820,15 +682,13 @@ func (pr *proc) fail(err error) {
 }
 
 // phaseObserver feeds the core pipeline's phase durations into the
-// per-run trace (as children of the enclosing compute span), the round's
-// flight record and the process-wide phase histograms. Histogram feeding
-// stays on even without a trace — it is four observations per compute,
-// nowhere near a hot path.
-func (pr *proc) phaseObserver(proc int, parent obs.SpanID, rec *obs.RoundRecord) obs.PhaseObserver {
+// per-run trace (as children of the enclosing compute span) and the
+// process-wide phase histograms. Histogram feeding stays on even without
+// a trace — it is four observations per compute, nowhere near a hot path.
+func (pr *proc) phaseObserver(proc int, parent obs.SpanID) obs.PhaseObserver {
 	traced := pr.cfg.Trace.ObserverChild(proc, 0, parent)
 	return obs.PhaseFunc(func(phase string, seconds float64) {
 		phaseHist(phase).Observe(seconds)
-		rec.AddPhase(phase, seconds)
 		if traced != nil {
 			traced.ObservePhase(phase, seconds)
 		}

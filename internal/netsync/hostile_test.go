@@ -4,6 +4,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"clocksync/internal/model"
 )
 
 // TestHostileFramesDoNotKillNodes: a well-formed frame of an unexpected
@@ -41,12 +43,48 @@ func TestHostileFramesDoNotKillNodes(t *testing.T) {
 	// absorbed, it would inflate the quorum count and mark honest nodes
 	// missing.
 	inject(nodes[0].Addr(), &Message{Type: "report", Origin: -1})
+	// Malformed reports in node 2's name, sent before node 2 reports: an
+	// empty link, and a link for another node. Stored, either would turn
+	// node 2's genuine report away as a duplicate and fail the round.
+	inject(nodes[0].Addr(), &Message{Type: "report", Origin: 2,
+		Links: []LinkStats{{From: 1, To: 2, Count: 0}}})
+	inject(nodes[0].Addr(), &Message{Type: "report", Origin: 2,
+		Links: []LinkStats{{From: 0, To: 1, Count: 1, Min: 0.1, Max: 0.1}}})
+
+	waitClusterSound(t, nodes, offsets)
+	if pe := nodes[0].Stats().ProtocolErrors; pe != 4 {
+		t.Fatalf("coordinator ProtocolErrors = %d, want 4", pe)
+	}
+	if pe := nodes[1].Stats().ProtocolErrors; pe != 1 {
+		t.Fatalf("node 1 ProtocolErrors = %d, want 1", pe)
+	}
+}
+
+// TestHostileProbeSenderIsProtocolError: in an unauthenticated cluster a
+// probe claiming a nonexistent sender, or the receiving node itself, is a
+// protocol error. Folded into the coordinator's incoming statistics, it
+// used to fail the table build and with it every node's round.
+func TestHostileProbeSenderIsProtocolError(t *testing.T) {
+	offsets := []time.Duration{0, 50 * time.Millisecond, -40 * time.Millisecond}
+	nodes := startCluster(t, offsets, time.Millisecond, 0.5)
+
+	for _, from := range []int{7, 0} {
+		raw, err := net.Dial("tcp", nodes[0].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newConn(raw)
+		if err := c.send(&Message{Type: "probe", From: model.ProcID(from), SendClock: 1}, 2*time.Second); err != nil {
+			t.Fatalf("send hostile probe: %v", err)
+		}
+		if _, err := c.recv(4 * time.Second); err == nil {
+			t.Fatal("hostile probe was answered instead of dropped")
+		}
+		_ = c.close()
+	}
 
 	waitClusterSound(t, nodes, offsets)
 	if pe := nodes[0].Stats().ProtocolErrors; pe != 2 {
 		t.Fatalf("coordinator ProtocolErrors = %d, want 2", pe)
-	}
-	if pe := nodes[1].Stats().ProtocolErrors; pe != 1 {
-		t.Fatalf("node 1 ProtocolErrors = %d, want 1", pe)
 	}
 }

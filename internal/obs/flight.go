@@ -29,8 +29,11 @@ type RoundRecord struct {
 	// Err carries the terminal error of a failed round.
 	Err string `json:"err,omitempty"`
 	// Synced / Missing count processors in and out of the synchronized
-	// component; Excised counts reporters removed by outlier excision and
-	// AuthFailures MAC-rejected frames observed during the round.
+	// component; Excised counts reporters removed by outlier excision.
+	// AuthFailures counts what authentication rejected before the round
+	// was decided, in the transport's own unit: report origins with at
+	// least one MAC-rejected version in the simulated protocol (dist),
+	// rejected probe and report frames on the TCP coordinator (netsync).
 	Synced       int `json:"synced"`
 	Missing      int `json:"missing,omitempty"`
 	Excised      int `json:"excised,omitempty"`
