@@ -9,11 +9,13 @@ import (
 // holds if replaying a simulated execution is bit-identical — so nothing
 // in these packages may read the wall clock. internal/round serves both
 // the simulator and the TCP coordinator, so it takes time only from its
-// transport.
+// transport; internal/oracle judges the deterministic kernels and stays
+// as deterministic as they are.
 var wallclockPkgs = []string{
 	"internal/core",
 	"internal/sim",
 	"internal/graph",
+	"internal/oracle",
 	"internal/delay",
 	"internal/model",
 	"internal/genfuzz",
@@ -41,7 +43,7 @@ var wallclockFuncs = map[string]bool{
 var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc: "forbid time.Now/Since/Sleep/After and friends in the deterministic packages " +
-		"(internal/core, internal/sim, internal/graph, internal/delay, internal/model, " +
+		"(internal/core, internal/sim, internal/graph, internal/oracle, internal/delay, internal/model, " +
 		"internal/genfuzz, internal/trace, internal/drift, internal/round, cmd/genfuzz); " +
 		"simulated executions must be replayable, so wall-clock access goes through an " +
 		"injected obs.Clock (core.Options.Clock)",

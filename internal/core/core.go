@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"clocksync/internal/graph"
 	"clocksync/internal/obs"
 )
 
@@ -174,79 +173,6 @@ type Result struct {
 	CriticalCycle []int
 }
 
-// GlobalEstimates implements function GLOBAL ESTIMATES (Theorem 5.5): given
-// the matrix of estimated maximal local shifts (entries +Inf where a pair
-// shares no constraint, diagonal ignored), it returns the matrix of
-// estimated maximal global shifts via an all-pairs shortest-path
-// computation. It returns ErrInfeasible if the input has a negative cycle.
-func GlobalEstimates(mls [][]float64) ([][]float64, error) {
-	if err := validateMatrix(mls); err != nil {
-		return nil, err
-	}
-	d := graph.CloneMatrix(mls)
-	for i := range d {
-		d[i][i] = 0
-	}
-	if err := graph.FloydWarshall(d); err != nil {
-		if errors.Is(err, graph.ErrNegativeCycle) {
-			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return nil, err
-	}
-	return d, nil
-}
-
-// AMax computes the optimal precision for a matrix of estimated global
-// shifts restricted to the given processor subset: the maximum mean cycle
-// of m~s over the complete digraph on the subset (Section 4.3/4.4). For a
-// singleton subset it returns 0. The second return value is a cyclic
-// processor sequence achieving the maximum (nil if degenerate).
-func AMax(ms [][]float64, subset []int) (float64, []int) {
-	if len(subset) <= 1 {
-		return 0, nil
-	}
-	// Fast path: the full processor set in identity order needs no O(n^2)
-	// subset-matrix copy or index remapping.
-	if identitySubset(subset, len(ms)) {
-		mc, ok := graph.MaxMeanCycleMatrix(ms)
-		if !ok {
-			return 0, nil
-		}
-		return mc.Mean, mc.Cycle
-	}
-	w := graph.NewMatrix(len(subset), graph.Inf)
-	for a, p := range subset {
-		for b, q := range subset {
-			if a == b {
-				continue
-			}
-			w[a][b] = ms[p][q]
-		}
-	}
-	mc, ok := graph.MaxMeanCycleMatrix(w)
-	if !ok {
-		return 0, nil
-	}
-	cycle := make([]int, len(mc.Cycle))
-	for i, v := range mc.Cycle {
-		cycle[i] = subset[v]
-	}
-	return mc.Mean, cycle
-}
-
-// identitySubset reports whether subset is exactly 0..n-1 in order.
-func identitySubset(subset []int, n int) bool {
-	if len(subset) != n {
-		return false
-	}
-	for i, p := range subset {
-		if p != i {
-			return false
-		}
-	}
-	return true
-}
-
 // Synchronize runs the full pipeline on a matrix of estimated maximal local
 // shifts and returns optimal corrections with their precision.
 //
@@ -265,27 +191,6 @@ func Synchronize(mls [][]float64, opts Options) (*Result, error) {
 	out := res.Clone()
 	synchronizerPool.Put(s)
 	return out, nil
-}
-
-func validateMatrix(m [][]float64) error {
-	n := len(m)
-	for i := range m {
-		if len(m[i]) != n {
-			return fmt.Errorf("core: mls matrix row %d has %d entries, want %d", i, len(m[i]), n)
-		}
-		for j, x := range m[i] {
-			if i == j {
-				continue
-			}
-			if math.IsNaN(x) {
-				return fmt.Errorf("core: mls[%d][%d] is NaN", i, j)
-			}
-			if math.IsInf(x, -1) {
-				return fmt.Errorf("core: mls[%d][%d] is -Inf", i, j)
-			}
-		}
-	}
-	return nil
 }
 
 // PairBound returns the tight guaranteed bound on the corrected-clock

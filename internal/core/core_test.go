@@ -13,6 +13,17 @@ var inf = math.Inf(1)
 
 func matrix(rows ...[]float64) [][]float64 { return rows }
 
+// globalEstimates runs the pipeline and returns its GLOBAL ESTIMATES
+// matrix m~s (Theorem 5.5).
+func globalEstimates(t *testing.T, mls [][]float64) [][]float64 {
+	t.Helper()
+	res, err := Synchronize(mls, Options{})
+	if err != nil {
+		t.Fatalf("Synchronize: %v", err)
+	}
+	return res.MS
+}
+
 func TestGlobalEstimatesShortcuts(t *testing.T) {
 	// Line p0 - p1 - p2: global shift p0->p2 is the sum of local shifts.
 	mls := matrix(
@@ -20,10 +31,7 @@ func TestGlobalEstimatesShortcuts(t *testing.T) {
 		[]float64{2, 0, 3},
 		[]float64{inf, 4, 0},
 	)
-	ms, err := GlobalEstimates(mls)
-	if err != nil {
-		t.Fatalf("GlobalEstimates: %v", err)
-	}
+	ms := globalEstimates(t, mls)
 	if ms[0][2] != 4 {
 		t.Errorf("ms[0][2] = %v, want 4", ms[0][2])
 	}
@@ -42,10 +50,7 @@ func TestGlobalEstimatesShortcutBeatsDirect(t *testing.T) {
 		[]float64{1, 0, inf},
 		[]float64{inf, 1, 0},
 	)
-	ms, err := GlobalEstimates(mls)
-	if err != nil {
-		t.Fatalf("GlobalEstimates: %v", err)
-	}
+	ms := globalEstimates(t, mls)
 	if ms[0][1] != 2 { // 0->2->1 = 1+1 beats direct 10
 		t.Errorf("ms[0][1] = %v, want 2", ms[0][1])
 	}
@@ -56,7 +61,7 @@ func TestGlobalEstimatesInfeasible(t *testing.T) {
 		[]float64{0, 1},
 		[]float64{-2, 0},
 	)
-	if _, err := GlobalEstimates(mls); !errors.Is(err, ErrInfeasible) {
+	if _, err := Synchronize(mls, Options{}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("error = %v, want ErrInfeasible", err)
 	}
 }
@@ -69,10 +74,19 @@ func TestGlobalEstimatesValidation(t *testing.T) {
 		{name: "ragged", mls: [][]float64{{0, 1}, {0}}},
 		{name: "nan", mls: matrix([]float64{0, math.NaN()}, []float64{1, 0})},
 		{name: "neg inf", mls: matrix([]float64{0, math.Inf(-1)}, []float64{1, 0})},
+		// A 4-ring of 1e308 local shifts: every entry is finite, but the
+		// closure sum 1e308 + 1e308 overflows to +Inf inside one sync
+		// component, which no finite precision or correction survives.
+		{name: "closure overflow", mls: matrix(
+			[]float64{0, 1e308, inf, 1e308},
+			[]float64{1e308, 0, 1e308, inf},
+			[]float64{inf, 1e308, 0, 1e308},
+			[]float64{1e308, inf, 1e308, 0},
+		)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := GlobalEstimates(tt.mls); err == nil {
+			if _, err := Synchronize(tt.mls, Options{}); err == nil {
 				t.Error("error = nil, want non-nil")
 			}
 		})
@@ -80,37 +94,54 @@ func TestGlobalEstimatesValidation(t *testing.T) {
 }
 
 func TestAMaxTwoProc(t *testing.T) {
-	ms := matrix(
+	mls := matrix(
 		[]float64{0, 3},
 		[]float64{1, 0},
 	)
-	a, cycle := AMax(ms, []int{0, 1})
-	if a != 2 {
-		t.Errorf("AMax = %v, want 2", a)
+	res, err := Synchronize(mls, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(cycle) != 3 || cycle[0] != cycle[2] {
+	if res.Precision != 2 {
+		t.Errorf("A_max = %v, want 2", res.Precision)
+	}
+	if cycle := res.CriticalCycle; len(cycle) != 3 || cycle[0] != cycle[2] {
 		t.Errorf("cycle = %v, want a closed 2-cycle", cycle)
+	}
+	mls = matrix(
+		[]float64{0, -1},
+		[]float64{-1, 0},
+	)
+	if _, err := Synchronize(mls, Options{}); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("error = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestAMaxSingleton(t *testing.T) {
-	a, cycle := AMax(matrix([]float64{0}), []int{0})
-	if a != 0 || cycle != nil {
-		t.Errorf("AMax(singleton) = %v,%v; want 0,nil", a, cycle)
+	res, err := Synchronize(matrix([]float64{0}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Precision != 0 || res.CriticalCycle != nil {
+		t.Errorf("A_max(singleton) = %v,%v; want 0,nil", res.Precision, res.CriticalCycle)
 	}
 }
 
 func TestAMaxSubset(t *testing.T) {
-	// Full matrix has a huge cycle through node 2; restricting to {0,1}
-	// must ignore it.
-	ms := matrix(
+	// Node 2 is reachable from {0,1} but cannot reach back, so it is a
+	// sync component of its own: A_max of the component {0,1} must ignore
+	// the heavy edges toward it.
+	mls := matrix(
 		[]float64{0, 1, 100},
 		[]float64{1, 0, 100},
-		[]float64{100, 100, 0},
+		[]float64{inf, inf, 0},
 	)
-	a, _ := AMax(ms, []int{0, 1})
-	if a != 1 {
-		t.Errorf("AMax({0,1}) = %v, want 1", a)
+	res, err := Synchronize(mls, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Components) != 2 || res.ComponentPrecision[0] != 1 {
+		t.Errorf("components %v with A_max %v, want {0,1} at 1 beside {2}", res.Components, res.ComponentPrecision)
 	}
 }
 
@@ -350,7 +381,7 @@ func TestRhoErrors(t *testing.T) {
 }
 
 func TestValidateMatrixHelpers(t *testing.T) {
-	if err := validateMatrix(graph.NewMatrix(3, inf)); err != nil {
-		t.Errorf("validateMatrix(+Inf) = %v, want nil", err)
+	if _, err := Synchronize(graph.NewMatrix(3, inf), Options{}); err != nil {
+		t.Errorf("Synchronize(+Inf) = %v, want nil", err)
 	}
 }

@@ -217,9 +217,11 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 		ncc := graph.SCCDense(W, scc)
 		aM := 0.0
 		if ncc == 1 {
-			if mc, ok := graph.MaxMeanCycleDense(W, ident[:kc], true, karp, nil); ok {
-				aM = mc.Mean
+			mc, err := graph.MaxMeanCycleDense(W, ident[:kc], karp, nil)
+			if err != nil {
+				return err
 			}
+			aM = mc.Mean
 		} else {
 			sub := make([]int, 0, kc)
 			for cc := 0; cc < ncc; cc++ {
@@ -232,7 +234,11 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 				if len(sub) <= 1 {
 					continue
 				}
-				if mc, ok := graph.MaxMeanCycleDense(W, sub, true, karp, nil); ok && mc.Mean > aM {
+				mc, err := graph.MaxMeanCycleDense(W, sub, karp, nil)
+				if err != nil {
+					return err
+				}
+				if mc.Mean > aM {
 					aM = mc.Mean
 				}
 			}
@@ -315,13 +321,12 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 
 	// ---- λ_B (certified lower bound) and the working precision λ.
 	t.lap(phaseEstimate)
-	lambdaB := 0.0
-	{
-		var karp graph.KarpScratch
-		if mc, ok := graph.MaxMeanCycleDense(H, ident[:nb], true, &karp, pool); ok {
-			lambdaB = mc.Mean
-		}
+	var karp graph.KarpScratch
+	mc, err := graph.MaxMeanCycleDense(H, ident[:nb], &karp, pool)
+	if err != nil {
+		return err
 	}
+	lambdaB := mc.Mean
 	lambdaUse := lambdaB
 	for _, aM := range aMaxI {
 		if aM > lambdaUse {

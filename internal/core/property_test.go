@@ -72,10 +72,7 @@ func TestPropertyTighteningNeverHurts(t *testing.T) {
 		// Tighten one finite off-diagonal entry, but keep feasibility: the
 		// entry may not drop below -(shortest return path), or some cycle
 		// would go negative. Use the ms matrix to find the slack.
-		ms, err := GlobalEstimates(mls)
-		if err != nil {
-			t.Fatalf("GlobalEstimates: %v", err)
-		}
+		ms := globalEstimates(t, mls)
 		i, j := rng.Intn(n), rng.Intn(n)
 		if i == j || math.IsInf(mls[i][j], 1) {
 			continue
@@ -222,14 +219,8 @@ func TestPropertyMSIdempotent(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(6)
 		mls := randomFeasibleMLS(rng, n)
-		ms, err := GlobalEstimates(mls)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		ms2, err := GlobalEstimates(ms)
-		if err != nil {
-			t.Fatalf("trial %d second pass: %v", trial, err)
-		}
+		ms := globalEstimates(t, mls)
+		ms2 := globalEstimates(t, ms)
 		for i := range ms {
 			for j := range ms[i] {
 				same := ms[i][j] == ms2[i][j] || math.Abs(ms[i][j]-ms2[i][j]) < 1e-12

@@ -314,11 +314,11 @@ func (s *Synchronizer) solveComponent(kit *compKit, g *graph.CSR, a *resultArena
 	}
 
 	t.lap(phaseEstimate)
-	aMax, cycle := 0.0, []int(nil)
-	if mc, ok := graph.MaxMeanCycleDense(ms, s.ident(k), true, &kit.karp, pool); ok {
-		aMax = mc.Mean
-		cycle = mc.Cycle
+	mc, err := graph.MaxMeanCycleDense(ms, s.ident(k), &kit.karp, pool)
+	if err != nil {
+		return nil, err
 	}
+	aMax, cycle := mc.Mean, mc.Cycle
 	a.prec[ci] = aMax
 	s.lowerB[ci] = aMax
 	t.lap(phaseKarp)

@@ -114,12 +114,16 @@ func (s *Synchronizer) Close() {}
 // contract for the lifetime of the returned Result.
 func (s *Synchronizer) Sync(mls [][]float64, opts Options) (*Result, error) {
 	mark := opts.start()
-	if err := validateMatrix(mls); err != nil {
-		return nil, err
-	}
-	a := s.nextArena(len(mls), true)
+	n := len(mls)
+	a := s.nextArena(n, true)
 	for i, row := range mls {
+		if len(row) != n {
+			return nil, fmt.Errorf("core: mls matrix row %d has %d entries, want %d", i, len(row), n)
+		}
 		copy(a.ms.Row(i), row)
+	}
+	if err := validateDense(&a.ms); err != nil {
+		return nil, err
 	}
 	a.ms.FillDiag(0)
 	res, err := s.solve(a, nil, opts, mark)
@@ -373,7 +377,8 @@ func (r *Result) Clone() *Result {
 	return out
 }
 
-// validateDense mirrors validateMatrix for the flat layout.
+// validateDense rejects an m~ls matrix with a NaN or -Inf off-diagonal
+// entry: no execution yields either.
 func validateDense(m *graph.Dense) error {
 	n := m.N()
 	for i := 0; i < n; i++ {

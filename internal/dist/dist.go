@@ -14,9 +14,9 @@
 //  3. Compute  at the leader, once all n reports are in — or, failing
 //     that, at clock Warmup+Window+ReportGrace with whichever reports
 //     arrived (quorum instead of wait-for-all): assemble the statistics
-//     table, restrict the link set to the reporting subgraph, run GLOBAL
-//     ESTIMATES + SHIFTS, and flood the corrections. internal/round makes
-//     that decision; this package moves the reports and the result.
+//     table, run GLOBAL ESTIMATES + SHIFTS, and flood the corrections.
+//     internal/round makes that decision; this package moves the reports
+//     and the result.
 //  4. Apply    each processor picks its correction out of the result
 //     flood. The result names the synchronized component (the processors
 //     the precision actually covers), the missing reporters, and whether

@@ -13,6 +13,7 @@ import (
 	"clocksync/internal/drift"
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
+	"clocksync/internal/oracle"
 	"clocksync/internal/prob"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
@@ -462,30 +463,30 @@ func A3GraphAlgorithms(seed int64) (*Table, error) {
 		{"sparse-large", 96, 0.04},
 	}
 	for _, c := range cases {
-		g := graph.RandomStronglyConnected(rng, c.n, c.p, 0.1, 1.0)
+		g := oracle.RandomStronglyConnected(rng, c.n, c.p, 0.1, 1.0)
 
 		t0 := time.Now()
-		fw, err := graph.AllPairs(g)
+		fw, err := oracle.AllPairs(g)
 		if err != nil {
 			return nil, fmt.Errorf("A3(%s): %w", c.name, err)
 		}
-		fwG, err := graph.FromMatrix(fw)
+		fwG, err := oracle.FromMatrix(fw)
 		if err != nil {
 			return nil, err
 		}
-		karp, okK := graph.MaxMeanCycle(fwG)
+		karp, okK := oracle.MaxMeanCycle(fwG)
 		dFW := time.Since(t0)
 
 		t1 := time.Now()
-		jo, err := graph.AllPairsJohnson(g)
+		jo, err := oracle.AllPairsJohnson(g)
 		if err != nil {
 			return nil, fmt.Errorf("A3(%s): johnson: %w", c.name, err)
 		}
-		joG, err := graph.FromMatrix(jo)
+		joG, err := oracle.FromMatrix(jo)
 		if err != nil {
 			return nil, err
 		}
-		bin, okB := graph.MaxMeanCycleBinary(joG, 1e-10)
+		bin, okB := oracle.MaxMeanCycleBinary(joG, 1e-10)
 		dJo := time.Since(t1)
 
 		agree := okK == okB

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"clocksync/internal/oracle"
 )
 
 // TestJohnsonMatchesFloydWarshall cross-checks the two all-pairs
@@ -19,7 +21,7 @@ func TestJohnsonMatchesFloydWarshall(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Float64()*4 - 2
 		}
-		g := NewDigraph(n)
+		g := oracle.NewDigraph(n)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if u == v || rng.Float64() > 0.4 {
@@ -28,11 +30,11 @@ func TestJohnsonMatchesFloydWarshall(t *testing.T) {
 				g.MustAddEdge(u, v, rng.Float64()*2+p[u]-p[v])
 			}
 		}
-		fw, err := AllPairs(g)
+		fw, err := oracle.AllPairs(g)
 		if err != nil {
 			t.Fatalf("trial %d: AllPairs: %v", trial, err)
 		}
-		jo, err := AllPairsJohnson(g)
+		jo, err := oracle.AllPairsJohnson(g)
 		if err != nil {
 			t.Fatalf("trial %d: Johnson: %v", trial, err)
 		}
@@ -51,18 +53,18 @@ func TestJohnsonMatchesFloydWarshall(t *testing.T) {
 }
 
 func TestJohnsonNegativeCycle(t *testing.T) {
-	g := NewDigraph(2)
+	g := oracle.NewDigraph(2)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 0, -2)
-	if _, err := AllPairsJohnson(g); !errors.Is(err, ErrNegativeCycle) {
-		t.Errorf("error = %v, want ErrNegativeCycle", err)
+	if _, err := oracle.AllPairsJohnson(g); !errors.Is(err, oracle.ErrNegativeCycle) {
+		t.Errorf("error = %v, want oracle.ErrNegativeCycle", err)
 	}
 }
 
 func TestJohnsonDisconnected(t *testing.T) {
-	g := NewDigraph(3)
+	g := oracle.NewDigraph(3)
 	g.MustAddEdge(0, 1, 5)
-	d, err := AllPairsJohnson(g)
+	d, err := oracle.AllPairsJohnson(g)
 	if err != nil {
 		t.Fatalf("Johnson: %v", err)
 	}
@@ -82,9 +84,9 @@ func TestBinaryMatchesKarp(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(7)
-		g := RandomDigraph(rng, n, 0.45, -3, 3)
-		karp, okK := MaxMeanCycle(g)
-		bin, okB := MaxMeanCycleBinary(g, 1e-10)
+		g := oracle.RandomDigraph(rng, n, 0.45, -3, 3)
+		karp, okK := oracle.MaxMeanCycle(g)
+		bin, okB := oracle.MaxMeanCycleBinary(g, 1e-10)
 		if okK != okB {
 			t.Fatalf("trial %d: ok mismatch: karp %v binary %v", trial, okK, okB)
 		}
@@ -98,24 +100,24 @@ func TestBinaryMatchesKarp(t *testing.T) {
 }
 
 func TestBinaryEdgeCases(t *testing.T) {
-	if _, ok := MaxMeanCycleBinary(NewDigraph(3), 1e-9); ok {
+	if _, ok := oracle.MaxMeanCycleBinary(oracle.NewDigraph(3), 1e-9); ok {
 		t.Error("empty graph reported a cycle")
 	}
-	g := NewDigraph(2)
+	g := oracle.NewDigraph(2)
 	g.MustAddEdge(0, 1, 1)
-	if _, ok := MaxMeanCycleBinary(g, 1e-9); ok {
+	if _, ok := oracle.MaxMeanCycleBinary(g, 1e-9); ok {
 		t.Error("acyclic graph reported a cycle")
 	}
 	// All edges equal: mean is exactly that value.
-	c := NewDigraph(2)
+	c := oracle.NewDigraph(2)
 	c.MustAddEdge(0, 1, 2.5)
 	c.MustAddEdge(1, 0, 2.5)
-	mean, ok := MaxMeanCycleBinary(c, 1e-12)
+	mean, ok := oracle.MaxMeanCycleBinary(c, 1e-12)
 	if !ok || math.Abs(mean-2.5) > 1e-9 {
 		t.Errorf("uniform cycle mean = %v, %v", mean, ok)
 	}
 	// Non-positive tol falls back to a sane default.
-	if mean, ok := MaxMeanCycleBinary(c, -1); !ok || math.Abs(mean-2.5) > 1e-6 {
+	if mean, ok := oracle.MaxMeanCycleBinary(c, -1); !ok || math.Abs(mean-2.5) > 1e-6 {
 		t.Errorf("default-tol mean = %v, %v", mean, ok)
 	}
 }

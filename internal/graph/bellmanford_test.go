@@ -4,19 +4,20 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
+
+	"clocksync/internal/oracle"
 )
 
 func TestBellmanFordSimple(t *testing.T) {
 	// 0 -> 1 (4), 0 -> 2 (1), 2 -> 1 (2), 1 -> 3 (1)
-	g := NewDigraph(5)
+	g := oracle.NewDigraph(5)
 	g.MustAddEdge(0, 1, 4)
 	g.MustAddEdge(0, 2, 1)
 	g.MustAddEdge(2, 1, 2)
 	g.MustAddEdge(1, 3, 1)
 
-	sp, err := BellmanFord(g, 0)
+	sp, err := oracle.BellmanFord(g, 0)
 	if err != nil {
 		t.Fatalf("BellmanFord: %v", err)
 	}
@@ -26,22 +27,16 @@ func TestBellmanFordSimple(t *testing.T) {
 			t.Errorf("Dist[%d] = %v, want %v", v, sp.Dist[v], d)
 		}
 	}
-	if got := sp.Path(3); !reflect.DeepEqual(got, []int{0, 2, 1, 3}) {
-		t.Errorf("Path(3) = %v, want [0 2 1 3]", got)
-	}
-	if got := sp.Path(4); got != nil {
-		t.Errorf("Path(unreachable) = %v, want nil", got)
-	}
 }
 
 func TestBellmanFordNegativeEdges(t *testing.T) {
-	g := NewDigraph(4)
+	g := oracle.NewDigraph(4)
 	g.MustAddEdge(0, 1, 5)
 	g.MustAddEdge(1, 2, -3)
 	g.MustAddEdge(0, 2, 4)
 	g.MustAddEdge(2, 3, 2)
 
-	sp, err := BellmanFord(g, 0)
+	sp, err := oracle.BellmanFord(g, 0)
 	if err != nil {
 		t.Fatalf("BellmanFord: %v", err)
 	}
@@ -54,24 +49,24 @@ func TestBellmanFordNegativeEdges(t *testing.T) {
 }
 
 func TestBellmanFordNegativeCycle(t *testing.T) {
-	g := NewDigraph(3)
+	g := oracle.NewDigraph(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, -2)
 	g.MustAddEdge(2, 1, 1) // 1 -> 2 -> 1 has weight -1
 
-	if _, err := BellmanFord(g, 0); !errors.Is(err, ErrNegativeCycle) {
-		t.Errorf("BellmanFord error = %v, want ErrNegativeCycle", err)
+	if _, err := oracle.BellmanFord(g, 0); !errors.Is(err, oracle.ErrNegativeCycle) {
+		t.Errorf("BellmanFord error = %v, want oracle.ErrNegativeCycle", err)
 	}
 }
 
 func TestBellmanFordUnreachableNegativeCycleOK(t *testing.T) {
-	g := NewDigraph(4)
+	g := oracle.NewDigraph(4)
 	g.MustAddEdge(0, 1, 1)
 	// Negative cycle 2 <-> 3 is unreachable from 0.
 	g.MustAddEdge(2, 3, -5)
 	g.MustAddEdge(3, 2, 1)
 
-	sp, err := BellmanFord(g, 0)
+	sp, err := oracle.BellmanFord(g, 0)
 	if err != nil {
 		t.Fatalf("BellmanFord with unreachable negative cycle: %v", err)
 	}
@@ -81,8 +76,8 @@ func TestBellmanFordUnreachableNegativeCycleOK(t *testing.T) {
 }
 
 func TestBellmanFordBadSource(t *testing.T) {
-	g := NewDigraph(2)
-	if _, err := BellmanFord(g, 5); err == nil {
+	g := oracle.NewDigraph(2)
+	if _, err := oracle.BellmanFord(g, 5); err == nil {
 		t.Error("BellmanFord(out-of-range source) error = nil, want non-nil")
 	}
 }
@@ -90,18 +85,18 @@ func TestBellmanFordBadSource(t *testing.T) {
 func TestHasNegativeCycle(t *testing.T) {
 	tests := []struct {
 		name  string
-		build func() *Digraph
+		build func() *oracle.Digraph
 		want  bool
 	}{
 		{
 			name:  "empty",
-			build: func() *Digraph { return NewDigraph(0) },
+			build: func() *oracle.Digraph { return oracle.NewDigraph(0) },
 			want:  false,
 		},
 		{
 			name: "positive cycle",
-			build: func() *Digraph {
-				g := NewDigraph(2)
+			build: func() *oracle.Digraph {
+				g := oracle.NewDigraph(2)
 				g.MustAddEdge(0, 1, 1)
 				g.MustAddEdge(1, 0, 1)
 				return g
@@ -110,8 +105,8 @@ func TestHasNegativeCycle(t *testing.T) {
 		},
 		{
 			name: "zero cycle",
-			build: func() *Digraph {
-				g := NewDigraph(2)
+			build: func() *oracle.Digraph {
+				g := oracle.NewDigraph(2)
 				g.MustAddEdge(0, 1, 3)
 				g.MustAddEdge(1, 0, -3)
 				return g
@@ -120,8 +115,8 @@ func TestHasNegativeCycle(t *testing.T) {
 		},
 		{
 			name: "negative cycle",
-			build: func() *Digraph {
-				g := NewDigraph(2)
+			build: func() *oracle.Digraph {
+				g := oracle.NewDigraph(2)
 				g.MustAddEdge(0, 1, 3)
 				g.MustAddEdge(1, 0, -3.5)
 				return g
@@ -130,8 +125,8 @@ func TestHasNegativeCycle(t *testing.T) {
 		},
 		{
 			name: "negative self loop",
-			build: func() *Digraph {
-				g := NewDigraph(1)
+			build: func() *oracle.Digraph {
+				g := oracle.NewDigraph(1)
 				g.MustAddEdge(0, 0, -0.1)
 				return g
 			},
@@ -139,8 +134,8 @@ func TestHasNegativeCycle(t *testing.T) {
 		},
 		{
 			name: "negative cycle in second component",
-			build: func() *Digraph {
-				g := NewDigraph(4)
+			build: func() *oracle.Digraph {
+				g := oracle.NewDigraph(4)
 				g.MustAddEdge(0, 1, 1)
 				g.MustAddEdge(2, 3, -1)
 				g.MustAddEdge(3, 2, 0.5)
@@ -151,61 +146,11 @@ func TestHasNegativeCycle(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := HasNegativeCycle(tt.build()); got != tt.want {
+			if got := oracle.HasNegativeCycle(tt.build()); got != tt.want {
 				t.Errorf("HasNegativeCycle = %v, want %v", got, tt.want)
 			}
 		})
 	}
-}
-
-func TestFindNegativeCycle(t *testing.T) {
-	g := NewDigraph(5)
-	g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(1, 2, 3)
-	g.MustAddEdge(2, 3, -4)
-	g.MustAddEdge(3, 1, 0.5) // cycle 1->2->3->1 weight -0.5
-	g.MustAddEdge(3, 4, 10)
-
-	cyc := FindNegativeCycle(g)
-	if cyc == nil {
-		t.Fatal("FindNegativeCycle = nil, want a cycle")
-	}
-	if cyc[0] != cyc[len(cyc)-1] {
-		t.Fatalf("cycle %v does not close", cyc)
-	}
-	if w := cycleWeight(t, g, cyc); w >= 0 {
-		t.Errorf("cycle %v weight = %v, want negative", cyc, w)
-	}
-}
-
-func TestFindNegativeCycleNone(t *testing.T) {
-	g := NewDigraph(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(2, 0, 1)
-	if cyc := FindNegativeCycle(g); cyc != nil {
-		t.Errorf("FindNegativeCycle = %v, want nil", cyc)
-	}
-}
-
-// cycleWeight computes the total weight of a closed node sequence using the
-// minimum-weight edge between consecutive nodes.
-func cycleWeight(t *testing.T, g *Digraph, cyc []int) float64 {
-	t.Helper()
-	total := 0.0
-	for i := 0; i+1 < len(cyc); i++ {
-		best := math.Inf(1)
-		for _, e := range g.Out(cyc[i]) {
-			if e.To == cyc[i+1] && e.Weight < best {
-				best = e.Weight
-			}
-		}
-		if math.IsInf(best, 1) {
-			t.Fatalf("cycle %v uses missing edge %d->%d", cyc, cyc[i], cyc[i+1])
-		}
-		total += best
-	}
-	return total
 }
 
 // TestBellmanFordMatchesFloydWarshall cross-checks the two shortest-path
@@ -214,13 +159,13 @@ func TestBellmanFordMatchesFloydWarshall(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(8)
-		g := RandomDigraph(rng, n, 0.4, 0.1, 5) // positive weights: no negative cycles
-		ap, err := AllPairs(g)
+		g := oracle.RandomDigraph(rng, n, 0.4, 0.1, 5) // positive weights: no negative cycles
+		ap, err := oracle.AllPairs(g)
 		if err != nil {
 			t.Fatalf("trial %d: AllPairs: %v", trial, err)
 		}
 		for s := 0; s < n; s++ {
-			sp, err := BellmanFord(g, s)
+			sp, err := oracle.BellmanFord(g, s)
 			if err != nil {
 				t.Fatalf("trial %d: BellmanFord(%d): %v", trial, s, err)
 			}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"clocksync/internal/oracle"
 )
 
 // randomCSRAndDense stages the same random edge set into a CSR and a Dense
@@ -142,7 +144,7 @@ func TestSCCCSRMatchesDigraph(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(15)
 		g := NewCSR(n)
-		dg := NewDigraph(n)
+		dg := oracle.NewDigraph(n)
 		for e := 0; e < 2*n; e++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
@@ -154,7 +156,7 @@ func TestSCCCSRMatchesDigraph(t *testing.T) {
 		g.Build()
 		var s SCCScratch
 		nc := SCCCSR(g, &s)
-		want := SCC(dg)
+		want := oracle.SCC(dg)
 		if nc != len(want) {
 			t.Fatalf("component count %d, want %d", nc, len(want))
 		}

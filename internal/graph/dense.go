@@ -1,9 +1,46 @@
+// Package graph provides the flat graph kernels of the clock
+// synchronization pipeline: the Dense matrix and CSR adjacency layouts,
+// lane-parallel Floyd-Warshall (GLOBAL ESTIMATES), Karp's maximum mean
+// cycle over a closure component (A_max), Bellman-Ford for the correction
+// distances, Tarjan SCC on both layouts, the shared min-plus kernel, and
+// the sparse test-instance generators. Results are bit-identical for
+// every worker-pool size.
+//
+// Weights are float64. +Inf denotes an absent edge (or an unconstrained
+// weight); -Inf never appears in valid inputs. The textbook forms these
+// kernels are judged against live in internal/oracle, which this package
+// never imports.
 package graph
 
 import (
 	"fmt"
 	"math"
 )
+
+// Inf is the weight of an absent edge.
+var Inf = math.Inf(1)
+
+// NewMatrix allocates an n×n matrix filled with fill.
+func NewMatrix(n int, fill float64) [][]float64 {
+	w := make([][]float64, n)
+	buf := make([]float64, n*n)
+	for i := range buf {
+		buf[i] = fill
+	}
+	for i := range w {
+		w[i], buf = buf[:n:n], buf[n:]
+	}
+	return w
+}
+
+// CloneMatrix returns a deep copy of w.
+func CloneMatrix(w [][]float64) [][]float64 {
+	out := make([][]float64, len(w))
+	for i := range w {
+		out[i] = append([]float64(nil), w[i]...)
+	}
+	return out
+}
 
 // Dense is a square float64 matrix stored in a single contiguous backing
 // array, indexed with a row stride. It is the zero-allocation substrate of
@@ -132,8 +169,8 @@ func DenseFromRows(w [][]float64) (*Dense, error) {
 	return d, nil
 }
 
-// validateDenseWeights reports the first NaN or -Inf off-diagonal entry,
-// mirroring the Digraph AddEdge checks for matrix inputs.
+// validateDenseWeights reports the first NaN or -Inf off-diagonal entry:
+// the weights no kernel accepts.
 func validateDenseWeights(d *Dense) error {
 	n := d.n
 	for i := 0; i < n; i++ {

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"clocksync/internal/oracle"
 )
 
 func TestDenseBasics(t *testing.T) {
@@ -58,7 +60,7 @@ func TestDenseSetRowsAndTranspose(t *testing.T) {
 
 // matrixOf returns the dense adjacency of g with 0 diagonal, both as Dense
 // and rows.
-func denseOf(g *Digraph) *Dense {
+func denseOf(g *oracle.Digraph) *Dense {
 	d, err := DenseFromRows(g.Matrix())
 	if err != nil {
 		panic(err)
@@ -91,9 +93,9 @@ func TestFloydWarshallDenseMatchesClassic(t *testing.T) {
 		if trial >= 30 {
 			n = oddSizes[trial-30]
 		}
-		g := RandomDigraph(rng, n, 0.4, -0.3, 1.0)
+		g := oracle.RandomDigraph(rng, n, 0.4, -0.3, 1.0)
 		want := g.Matrix()
-		wantErr := FloydWarshall(want)
+		wantErr := oracle.FloydWarshall(want)
 		for _, pool := range pools {
 			d := denseOf(g)
 			gotErr := FloydWarshallDense(d, pool)
@@ -121,7 +123,7 @@ func TestBellmanFordDenseMatchesClassic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(30)
-		g := RandomStronglyConnected(rng, n, 0.3, 0.05, 1.0)
+		g := oracle.RandomStronglyConnected(rng, n, 0.3, 0.05, 1.0)
 		d := denseOf(g)
 		d.FillDiag(Inf) // no self edges in the adjacency view
 		dist := make([]float64, n)
@@ -130,7 +132,7 @@ func TestBellmanFordDenseMatchesClassic(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Row-major rebuild so edge order matches the dense scan.
-		h := NewDigraph(n)
+		h := oracle.NewDigraph(n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i != j && !math.IsInf(d.At(i, j), 1) {
@@ -138,7 +140,7 @@ func TestBellmanFordDenseMatchesClassic(t *testing.T) {
 				}
 			}
 		}
-		sp, err := BellmanFord(h, 0)
+		sp, err := oracle.BellmanFord(h, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +174,11 @@ func TestSCCDenseMatchesClassic(t *testing.T) {
 	var scratch SCCScratch
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(40)
-		g := RandomDigraph(rng, n, 0.1, 0, 1)
+		g := oracle.RandomDigraph(rng, n, 0.1, 0, 1)
 		// Row-major adjacency so DFS edge order matches the dense scan.
 		d := denseOf(g)
 		d.FillDiag(Inf)
-		h := NewDigraph(n)
+		h := oracle.NewDigraph(n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i != j && !math.IsInf(d.At(i, j), 1) {
@@ -184,7 +186,7 @@ func TestSCCDenseMatchesClassic(t *testing.T) {
 				}
 			}
 		}
-		want := SCC(h)
+		want := oracle.SCC(h)
 		got := SCCDense(d, &scratch)
 		if got != len(want) {
 			t.Fatalf("n=%d: %d components, want %d", n, got, len(want))
@@ -229,52 +231,54 @@ func TestMaxMeanCycleDenseMatchesClassic(t *testing.T) {
 		for i := range comp {
 			comp[i] = i
 		}
-		g, err := FromMatrix(d.Rows())
+		g, err := oracle.FromMatrix(d.Rows())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, ok := MaxMeanCycle(g)
+		want, ok := oracle.MaxMeanCycle(g)
 		if !ok {
 			t.Fatal("classic found no cycle")
 		}
-		var serial [2]MeanCycle
+		var serial MeanCycle
 		for _, pool := range pools {
-			for mi, maximize := range []bool{true, false} {
-				got, ok := MaxMeanCycleDense(d, comp, maximize, &scratch, pool)
-				if !ok {
-					t.Fatalf("n=%d: dense found no cycle", n)
-				}
-				if pool == nil {
-					serial[mi] = MeanCycle{Mean: got.Mean, Cycle: slices.Clone(got.Cycle)}
-				} else if math.Float64bits(got.Mean) != math.Float64bits(serial[mi].Mean) || !slices.Equal(got.Cycle, serial[mi].Cycle) {
-					t.Fatalf("n=%d lanes=%d maximize=%v: %v %v, serial %v %v",
-						n, pool.Lanes(), maximize, got.Mean, got.Cycle, serial[mi].Mean, serial[mi].Cycle)
-				}
-				if maximize {
-					if diff := math.Abs(got.Mean - want.Mean); diff > 1e-9*(1+math.Abs(want.Mean)) {
-						t.Fatalf("n=%d lanes=%d: mean %v, want %v", n, pool.Lanes(), got.Mean, want.Mean)
-					}
-				}
-				// The cycle must achieve the reported mean.
-				c := got.Cycle
-				if len(c) < 2 || c[0] != c[len(c)-1] {
-					t.Fatalf("n=%d: malformed cycle %v", n, c)
-				}
-				total := 0.0
-				for i := 0; i+1 < len(c); i++ {
-					total += d.At(c[i], c[i+1])
-				}
-				mean := total / float64(len(c)-1)
-				if diff := math.Abs(mean - got.Mean); diff > 1e-6*(1+math.Abs(got.Mean)) {
-					t.Fatalf("n=%d maximize=%v: cycle %v has mean %v, reported %v", n, maximize, c, mean, got.Mean)
-				}
+			got, err := MaxMeanCycleDense(d, comp, &scratch, pool)
+			if err != nil || got.Cycle == nil {
+				t.Fatalf("n=%d: dense found no cycle (err %v)", n, err)
 			}
+			if pool == nil {
+				serial = MeanCycle{Mean: got.Mean, Cycle: slices.Clone(got.Cycle)}
+			} else if math.Float64bits(got.Mean) != math.Float64bits(serial.Mean) || !slices.Equal(got.Cycle, serial.Cycle) {
+				t.Fatalf("n=%d lanes=%d: %v %v, serial %v %v",
+					n, pool.Lanes(), got.Mean, got.Cycle, serial.Mean, serial.Cycle)
+			}
+			if diff := math.Abs(got.Mean - want.Mean); diff > 1e-9*(1+math.Abs(want.Mean)) {
+				t.Fatalf("n=%d lanes=%d: mean %v, want %v", n, pool.Lanes(), got.Mean, want.Mean)
+			}
+			checkDenseCycle(t, d, got)
 		}
 	}
 }
 
-// TestMaxMeanCycleDenseSubset: non-trivial subsets and the slow fallback
-// for subsets with absent edges.
+// checkDenseCycle verifies that mc's cycle closes and achieves its mean.
+func checkDenseCycle(t *testing.T, d *Dense, mc MeanCycle) {
+	t.Helper()
+	c := mc.Cycle
+	if len(c) < 2 || c[0] != c[len(c)-1] {
+		t.Fatalf("malformed cycle %v", c)
+	}
+	total := 0.0
+	for i := 0; i+1 < len(c); i++ {
+		total += d.At(c[i], c[i+1])
+	}
+	mean := total / float64(len(c)-1)
+	if diff := math.Abs(mean - mc.Mean); diff > 1e-6*(1+math.Abs(mc.Mean)) {
+		t.Fatalf("cycle %v has mean %v, reported %v", c, mean, mc.Mean)
+	}
+}
+
+// TestMaxMeanCycleDenseSubset: non-trivial subsets that meet the kernel's
+// precondition (a strongly connected component of a closure), and the
+// error for a subset with an absent edge.
 func TestMaxMeanCycleDenseSubset(t *testing.T) {
 	var scratch KarpScratch
 	d := NewDense(4)
@@ -283,9 +287,9 @@ func TestMaxMeanCycleDenseSubset(t *testing.T) {
 	// Complete on {1, 3}; node 0 and 2 disconnected.
 	d.Set(1, 3, 2)
 	d.Set(3, 1, 4)
-	mc, ok := MaxMeanCycleDense(d, []int{1, 3}, true, &scratch, nil)
-	if !ok || math.Abs(mc.Mean-3) > 1e-12 {
-		t.Fatalf("subset cycle: %+v ok=%v, want mean 3", mc, ok)
+	mc, err := MaxMeanCycleDense(d, []int{1, 3}, &scratch, nil)
+	if err != nil || math.Abs(mc.Mean-3) > 1e-12 {
+		t.Fatalf("subset cycle: %+v err=%v, want mean 3", mc, err)
 	}
 	if len(mc.Cycle) != 3 || mc.Cycle[0] != mc.Cycle[len(mc.Cycle)-1] {
 		t.Fatalf("subset cycle nodes: %v", mc.Cycle)
@@ -295,17 +299,52 @@ func TestMaxMeanCycleDenseSubset(t *testing.T) {
 			t.Fatalf("cycle %v leaves the subset", mc.Cycle)
 		}
 	}
-	// Fallback path: subset with a missing edge.
-	mc, ok = MaxMeanCycleDense(d, []int{0, 1, 3}, true, &scratch, nil)
-	if !ok || math.Abs(mc.Mean-3) > 1e-12 {
-		t.Fatalf("fallback cycle: %+v ok=%v, want mean 3", mc, ok)
+	// A subset with an absent edge is outside the precondition.
+	if _, err := MaxMeanCycleDense(d, []int{0, 1, 3}, &scratch, nil); err == nil {
+		t.Fatal("subset with a +Inf entry accepted")
 	}
+
+	// The component {1, 3, 4} of a closure: node 0 only reaches it, node 2
+	// is isolated.
+	c := NewDense(5)
+	c.Fill(Inf)
+	c.FillDiag(0)
+	c.Set(0, 1, 1)
+	c.Set(1, 3, 2)
+	c.Set(3, 4, 1)
+	c.Set(4, 1, 3)
+	c.Set(3, 1, 4)
+	if err := FloydWarshallDense(c, nil); err != nil {
+		t.Fatal(err)
+	}
+	var scc SCCScratch
+	SCCDense(c, &scc)
+	var comp []int
+	for v := 0; v < c.N(); v++ {
+		if scc.CompOf[v] == scc.CompOf[1] {
+			comp = append(comp, v)
+		}
+	}
+	if !slices.Equal(comp, []int{1, 3, 4}) {
+		t.Fatalf("component of node 1 = %v, want [1 3 4]", comp)
+	}
+	mc, err = MaxMeanCycleDense(c, comp, &scratch, nil)
+	// 1 -> 4 -> 3 -> 1 over the closure: (3 + 5 + 4) / 3.
+	if err != nil || math.Abs(mc.Mean-4) > 1e-12 {
+		t.Fatalf("closure component cycle: %+v err=%v, want mean 4", mc, err)
+	}
+	checkDenseCycle(t, c, mc)
+	for _, v := range mc.Cycle {
+		if !slices.Contains(comp, v) {
+			t.Fatalf("cycle %v leaves the component", mc.Cycle)
+		}
+	}
+
 	// Singletons and empty subsets carry no cycle.
-	if _, ok := MaxMeanCycleDense(d, []int{2}, true, &scratch, nil); ok {
-		t.Fatal("singleton subset reported a cycle")
-	}
-	if _, ok := MaxMeanCycleDense(d, nil, true, &scratch, nil); ok {
-		t.Fatal("empty subset reported a cycle")
+	for _, sub := range [][]int{{2}, nil} {
+		if mc, err := MaxMeanCycleDense(d, sub, &scratch, nil); err != nil || mc.Cycle != nil || mc.Mean != 0 {
+			t.Fatalf("subset %v: %+v err=%v, want no cycle", sub, mc, err)
+		}
 	}
 }
 
@@ -356,7 +395,7 @@ func TestSharedPoolsConcurrent(t *testing.T) {
 	}
 	ReleasePool(nil) // must not panic
 	rng := rand.New(rand.NewSource(45))
-	g := RandomDigraph(rng, 200, 0.3, 0.1, 1.0)
+	g := oracle.RandomDigraph(rng, 200, 0.3, 0.1, 1.0)
 	want := denseOf(g)
 	if err := FloydWarshallDense(want, nil); err != nil {
 		t.Fatal(err)

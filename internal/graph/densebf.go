@@ -5,6 +5,11 @@ import (
 	"math"
 )
 
+// ErrNegativeCycle is returned by the shortest-path kernels when a
+// negative weight cycle is reachable from the source (or present
+// anywhere, for the all-pairs closure).
+var ErrNegativeCycle = errors.New("graph: negative weight cycle")
+
 // BellmanFordDense computes single-source shortest paths from src over the
 // dense weight matrix w (w[u][v] is the u->v edge weight, +Inf absent,
 // diagonal ignored — set it to +Inf). dist, parent and dirty are
@@ -14,8 +19,9 @@ import (
 // unspecified.
 //
 // The relaxation order — passes; source row u ascending; target column v
-// ascending — matches BellmanFord on a Digraph whose adjacency was built
-// in row-major order, so the dist vector is bit-identical to that path.
+// ascending — matches oracle.BellmanFord on a Digraph whose adjacency was
+// built in row-major order, so the dist vector is bit-identical to that
+// path.
 // It returns ErrNegativeCycle under the same relative tolerance.
 func BellmanFordDense(w *Dense, src int, dist []float64, parent []int, dirty []bool) error {
 	n := w.n
@@ -78,7 +84,7 @@ func BellmanFordDenseFrom(w *Dense, dist []float64, parent []int, dirty []bool) 
 		}
 	}
 	// One more pass: any relaxation now implies a reachable negative cycle,
-	// with the same generous relative tolerance as BellmanFord.
+	// with the same generous relative tolerance as oracle.BellmanFord.
 	for u := 0; u < n; u++ {
 		du := dist[u]
 		if math.IsInf(du, 1) {

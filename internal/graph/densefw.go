@@ -29,8 +29,8 @@ const fwParallelMinRows = 96
 // FloydWarshallDense runs Floyd-Warshall in place on d (entries are direct
 // edge weights, +Inf absent, diagonal 0) using up to pool.Lanes() lanes.
 // On return d holds all-pairs shortest-path distances; ErrNegativeCycle is
-// reported exactly as by FloydWarshall. Results are bit-identical to
-// FloydWarshall for every pool size.
+// reported exactly as by oracle.FloydWarshall. Results are bit-identical
+// to oracle.FloydWarshall for every pool size.
 func FloydWarshallDense(d *Dense, pool *Pool) error {
 	n := d.n
 	lanes := laneCount(pool, n, fwParallelMinRows)
@@ -58,6 +58,14 @@ func FloydWarshallDense(d *Dense, pool *Pool) error {
 		}
 	}
 	return nil
+}
+
+// negCycleTol is the relative slack below zero that a closure diagonal
+// may reach before it counts as a negative cycle: generous enough to
+// absorb accumulated floating-point dust, far below any genuinely
+// infeasible input.
+func negCycleTol(x float64) float64 {
+	return 1e-9 * (1 + math.Abs(x))
 }
 
 // fwRelaxRows applies pivot k to rows [lo, hi), tiling the column loop.

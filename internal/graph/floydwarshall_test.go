@@ -4,15 +4,17 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"clocksync/internal/oracle"
 )
 
 func TestAllPairsSmall(t *testing.T) {
-	g := NewDigraph(3)
+	g := oracle.NewDigraph(3)
 	g.MustAddEdge(0, 1, 4)
 	g.MustAddEdge(1, 2, -2)
 	g.MustAddEdge(0, 2, 5)
 
-	d, err := AllPairs(g)
+	d, err := oracle.AllPairs(g)
 	if err != nil {
 		t.Fatalf("AllPairs: %v", err)
 	}
@@ -28,21 +30,21 @@ func TestAllPairsSmall(t *testing.T) {
 }
 
 func TestAllPairsNegativeCycle(t *testing.T) {
-	g := NewDigraph(2)
+	g := oracle.NewDigraph(2)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 0, -2)
-	if _, err := AllPairs(g); !errors.Is(err, ErrNegativeCycle) {
-		t.Errorf("AllPairs error = %v, want ErrNegativeCycle", err)
+	if _, err := oracle.AllPairs(g); !errors.Is(err, oracle.ErrNegativeCycle) {
+		t.Errorf("AllPairs error = %v, want oracle.ErrNegativeCycle", err)
 	}
 }
 
 func TestFloydWarshallZeroCycleStaysZero(t *testing.T) {
 	// A zero-weight cycle must not be flagged and must keep a zero diagonal.
-	g := NewDigraph(3)
+	g := oracle.NewDigraph(3)
 	g.MustAddEdge(0, 1, 2)
 	g.MustAddEdge(1, 2, -1)
 	g.MustAddEdge(2, 0, -1)
-	d, err := AllPairs(g)
+	d, err := oracle.AllPairs(g)
 	if err != nil {
 		t.Fatalf("AllPairs: %v", err)
 	}
@@ -54,14 +56,14 @@ func TestFloydWarshallZeroCycleStaysZero(t *testing.T) {
 }
 
 func TestFloydWarshallTriangleInequality(t *testing.T) {
-	g := NewDigraph(6)
+	g := oracle.NewDigraph(6)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(2, 3, 1)
 	g.MustAddEdge(3, 4, 1)
 	g.MustAddEdge(4, 5, 1)
 	g.MustAddEdge(0, 5, 100)
-	d, err := AllPairs(g)
+	d, err := oracle.AllPairs(g)
 	if err != nil {
 		t.Fatalf("AllPairs: %v", err)
 	}
@@ -82,7 +84,7 @@ func TestFloydWarshallTriangleInequality(t *testing.T) {
 }
 
 func TestFloydWarshallEmpty(t *testing.T) {
-	if err := FloydWarshall(nil); err != nil {
+	if err := oracle.FloydWarshall(nil); err != nil {
 		t.Errorf("FloydWarshall(nil) = %v, want nil", err)
 	}
 }

@@ -4,40 +4,48 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"clocksync/internal/oracle"
 )
+
+// edge is one weighted arc of a table case.
+type edge struct {
+	from, to int
+	weight   float64
+}
 
 func TestMaxMeanCycleTable(t *testing.T) {
 	tests := []struct {
 		name   string
 		n      int
-		edges  []Edge
+		edges  []edge
 		want   float64
 		wantOK bool
 	}{
 		{
 			name:   "acyclic",
 			n:      3,
-			edges:  []Edge{{0, 1, 5}, {1, 2, 5}},
+			edges:  []edge{{0, 1, 5}, {1, 2, 5}},
 			wantOK: false,
 		},
 		{
 			name:   "single two cycle",
 			n:      2,
-			edges:  []Edge{{0, 1, 3}, {1, 0, 1}},
+			edges:  []edge{{0, 1, 3}, {1, 0, 1}},
 			want:   2,
 			wantOK: true,
 		},
 		{
 			name:   "self loop beats cycle",
 			n:      2,
-			edges:  []Edge{{0, 1, 1}, {1, 0, 1}, {0, 0, 5}},
+			edges:  []edge{{0, 1, 1}, {1, 0, 1}, {0, 0, 5}},
 			want:   5,
 			wantOK: true,
 		},
 		{
 			name: "choose heavier of two cycles",
 			n:    4,
-			edges: []Edge{
+			edges: []edge{
 				{0, 1, 1}, {1, 0, 1}, // mean 1
 				{2, 3, 4}, {3, 2, 2}, // mean 3
 			},
@@ -47,7 +55,7 @@ func TestMaxMeanCycleTable(t *testing.T) {
 		{
 			name: "long cycle vs short cycle",
 			n:    4,
-			edges: []Edge{
+			edges: []edge{
 				{0, 1, 10}, {1, 2, 0}, {2, 3, 0}, {3, 0, 0}, // mean 2.5
 				{1, 0, -4}, // cycle 0-1-0 mean 3
 			},
@@ -57,25 +65,25 @@ func TestMaxMeanCycleTable(t *testing.T) {
 		{
 			name:   "negative means",
 			n:      2,
-			edges:  []Edge{{0, 1, -3}, {1, 0, -1}},
+			edges:  []edge{{0, 1, -3}, {1, 0, -1}},
 			want:   -2,
 			wantOK: true,
 		},
 		{
 			name:   "zero mean cycle",
 			n:      3,
-			edges:  []Edge{{0, 1, 1}, {1, 2, -2}, {2, 0, 1}},
+			edges:  []edge{{0, 1, 1}, {1, 2, -2}, {2, 0, 1}},
 			want:   0,
 			wantOK: true,
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := NewDigraph(tt.n)
+			g := oracle.NewDigraph(tt.n)
 			for _, e := range tt.edges {
-				g.MustAddEdge(e.From, e.To, e.Weight)
+				g.MustAddEdge(e.from, e.to, e.weight)
 			}
-			mc, ok := MaxMeanCycle(g)
+			mc, ok := oracle.MaxMeanCycle(g)
 			if ok != tt.wantOK {
 				t.Fatalf("ok = %v, want %v", ok, tt.wantOK)
 			}
@@ -90,28 +98,8 @@ func TestMaxMeanCycleTable(t *testing.T) {
 	}
 }
 
-func TestMinMeanCycleIsNegatedMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(7)
-		g := RandomStronglyConnected(rng, n, 0.3, -5, 5)
-		neg := NewDigraph(n)
-		for _, e := range g.Edges() {
-			neg.MustAddEdge(e.From, e.To, -e.Weight)
-		}
-		maxMC, ok1 := MaxMeanCycle(g)
-		minMC, ok2 := MinMeanCycle(neg)
-		if ok1 != ok2 {
-			t.Fatalf("trial %d: ok mismatch %v vs %v", trial, ok1, ok2)
-		}
-		if math.Abs(maxMC.Mean+minMC.Mean) > 1e-9 {
-			t.Fatalf("trial %d: max=%v, min(neg)=%v", trial, maxMC.Mean, minMC.Mean)
-		}
-	}
-}
-
 // checkCycleMean verifies the reported critical cycle has the reported mean.
-func checkCycleMean(t *testing.T, g *Digraph, mc MeanCycle) {
+func checkCycleMean(t *testing.T, g *oracle.Digraph, mc oracle.MeanCycle) {
 	t.Helper()
 	if mc.Cycle == nil {
 		t.Error("critical cycle is nil")
@@ -148,7 +136,7 @@ func checkCycleMean(t *testing.T, g *Digraph, mc MeanCycle) {
 }
 
 // bruteMaxMeanCycle enumerates all simple cycles (n small) via DFS.
-func bruteMaxMeanCycle(g *Digraph) (float64, bool) {
+func bruteMaxMeanCycle(g *oracle.Digraph) (float64, bool) {
 	n := g.N()
 	best := math.Inf(-1)
 	found := false
@@ -191,9 +179,9 @@ func TestMaxMeanCycleMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(6)
-		g := RandomDigraph(rng, n, 0.45, -4, 4)
+		g := oracle.RandomDigraph(rng, n, 0.45, -4, 4)
 		want, wantOK := bruteMaxMeanCycle(g)
-		mc, ok := MaxMeanCycle(g)
+		mc, ok := oracle.MaxMeanCycle(g)
 		if ok != wantOK {
 			t.Fatalf("trial %d: ok = %v, brute = %v", trial, ok, wantOK)
 		}
@@ -212,7 +200,11 @@ func TestMaxMeanCycleMatrix(t *testing.T) {
 	w[0][1] = 2
 	w[1][0] = 4
 	w[1][2] = 1
-	mc, ok := MaxMeanCycleMatrix(w)
+	g, err := oracle.FromMatrix(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, ok := oracle.MaxMeanCycle(g)
 	if !ok {
 		t.Fatal("ok = false, want true")
 	}
@@ -222,10 +214,10 @@ func TestMaxMeanCycleMatrix(t *testing.T) {
 }
 
 func TestMaxMeanCycleEmptyAndSingle(t *testing.T) {
-	if _, ok := MaxMeanCycle(NewDigraph(0)); ok {
+	if _, ok := oracle.MaxMeanCycle(oracle.NewDigraph(0)); ok {
 		t.Error("empty graph reported a cycle")
 	}
-	if _, ok := MaxMeanCycle(NewDigraph(1)); ok {
+	if _, ok := oracle.MaxMeanCycle(oracle.NewDigraph(1)); ok {
 		t.Error("single node without self loop reported a cycle")
 	}
 }
@@ -234,8 +226,8 @@ func TestRandomStronglyConnectedIsSC(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(12)
-		g := RandomStronglyConnected(rng, n, 0.1, 0, 1)
-		if comps := SCC(g); len(comps) != 1 {
+		g := oracle.RandomStronglyConnected(rng, n, 0.1, 0, 1)
+		if comps := oracle.SCC(g); len(comps) != 1 {
 			t.Fatalf("trial %d: %d components, want 1", trial, len(comps))
 		}
 	}

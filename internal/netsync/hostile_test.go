@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"clocksync/internal/model"
+	"clocksync/internal/obs"
 )
 
 // TestHostileFramesDoNotKillNodes: a well-formed frame of an unexpected
@@ -13,10 +14,20 @@ import (
 // non-coordinator — is a per-connection protocol error, never a node
 // failure. Pre-hardening, a 7-byte frame from any peer terminated the
 // process; now the connection closes, the counter ticks and the cluster
-// completes unauthenticated as before.
+// completes unauthenticated as before. A rejected report is not a
+// received one: it neither counts in ReportsReceived nor plants its
+// shipped spans in the coordinator's cluster trace.
 func TestHostileFramesDoNotKillNodes(t *testing.T) {
 	offsets := []time.Duration{0, 80 * time.Millisecond, -20 * time.Millisecond}
-	nodes := startCluster(t, offsets, time.Millisecond, 0.5)
+	// Only the coordinator traces, so honest reports ship no spans and
+	// any span merged from a report frame was planted.
+	cluster := obs.NewTrace("hostile")
+	nodes := startCluster(t, offsets, time.Millisecond, 0.5, func(cfg *Config) {
+		if cfg.ID == 0 {
+			cfg.Trace = cluster
+		}
+	})
+	planted := []obs.Span{{Phase: "planted", Proc: 2, ID: 0x5eed, Parent: obs.RootSpanID}}
 
 	inject := func(addr string, m *Message) {
 		t.Helper()
@@ -46,14 +57,22 @@ func TestHostileFramesDoNotKillNodes(t *testing.T) {
 	// Malformed reports in node 2's name, sent before node 2 reports: an
 	// empty link, and a link for another node. Stored, either would turn
 	// node 2's genuine report away as a duplicate and fail the round.
-	inject(nodes[0].Addr(), &Message{Type: "report", Origin: 2,
+	inject(nodes[0].Addr(), &Message{Type: "report", Origin: 2, Span: 0x5eed, Spans: planted,
 		Links: []LinkStats{{From: 1, To: 2, Count: 0}}})
-	inject(nodes[0].Addr(), &Message{Type: "report", Origin: 2,
+	inject(nodes[0].Addr(), &Message{Type: "report", Origin: 2, Span: 0x5eed, Spans: planted,
 		Links: []LinkStats{{From: 0, To: 1, Count: 1, Min: 0.1, Max: 0.1}}})
 
 	waitClusterSound(t, nodes, offsets)
 	if pe := nodes[0].Stats().ProtocolErrors; pe != 4 {
 		t.Fatalf("coordinator ProtocolErrors = %d, want 4", pe)
+	}
+	if got := nodes[0].Stats().ReportsReceived; got != 2 {
+		t.Errorf("coordinator ReportsReceived = %d, want 2 (the honest peers only)", got)
+	}
+	for _, sp := range cluster.Spans() {
+		if sp.Phase == "planted" || sp.Phase == "report.recv" {
+			t.Errorf("rejected report left span %q (id %#x) in the cluster trace", sp.Phase, uint64(sp.ID))
+		}
 	}
 	if pe := nodes[1].Stats().ProtocolErrors; pe != 1 {
 		t.Fatalf("node 1 ProtocolErrors = %d, want 1", pe)

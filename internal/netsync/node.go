@@ -550,19 +550,6 @@ func (n *Node) serve(c *conn) {
 				n.noteAuthFailure("report", m.Origin, c)
 				return
 			}
-			n.stats.reportsReceived.Add(1)
-			gReports.Inc()
-			nLog.Debug("report received", "node", n.cfg.ID, "origin", m.Origin,
-				"links", len(m.Links), "remote", c.raw.RemoteAddr().String())
-			if n.cfg.Trace != nil {
-				// Reassemble the cluster trace: merge the reporter's local
-				// spans (ids are collision-free across nodes) and mark the
-				// receipt, parented to the reporter's report.send span.
-				if m.Span != 0 {
-					n.cfg.Trace.Mark("report.recv", int(m.Origin), m.Round, m.Span)
-				}
-				n.cfg.Trace.AddSpans(m.Spans)
-			}
 			// Ownership of the connection moves to the pending list; it is
 			// answered and closed when the result is ready.
 			parked = n.handleReport(c, m)
@@ -852,6 +839,7 @@ func (n *Node) handleReport(c *conn, m *Message) bool {
 // not stored, so the origin's genuine report can still arrive.
 func (n *Node) absorbReportLocked(m *Message, c *conn) error {
 	if n.computed {
+		n.receivedLocked(m, c)
 		n.stats.lateReports.Add(1)
 		gLateReports.Inc()
 		nLog.Debug("late report answered with stored result",
@@ -870,9 +858,12 @@ func (n *Node) absorbReportLocked(m *Message, c *conn) error {
 		}
 		links[i] = round.DirReport{From: ls.From, To: ls.To, Stats: st}
 	}
-	switch v, err := n.round.Absorb(m.Origin, links); v {
-	case round.Rejected:
+	v, err := n.round.Absorb(m.Origin, links)
+	if v == round.Rejected {
 		return err
+	}
+	n.receivedLocked(m, c)
+	switch v {
 	case round.Duplicate, round.Equivocation:
 		n.stats.duplicateReports.Add(1)
 		gDupReports.Inc()
@@ -890,6 +881,30 @@ func (n *Node) absorbReportLocked(m *Message, c *conn) error {
 		n.computeAndDisseminateLocked()
 	}
 	return nil
+}
+
+// receivedLocked accounts for a report frame the round accepted (or, after
+// the compute, answered late): it counts the frame and, with tracing on,
+// merges the reporter's spans into the cluster trace. Counting after
+// validation keeps a rejected frame out of both. The coordinator's own
+// report (c == nil) is not a received frame. Caller holds n.mu.
+func (n *Node) receivedLocked(m *Message, c *conn) {
+	if c == nil {
+		return
+	}
+	n.stats.reportsReceived.Add(1)
+	gReports.Inc()
+	nLog.Debug("report received", "node", n.cfg.ID, "origin", m.Origin,
+		"links", len(m.Links), "remote", c.raw.RemoteAddr().String())
+	if n.cfg.Trace != nil {
+		// Reassemble the cluster trace: merge the reporter's local spans
+		// (ids are collision-free across nodes) and mark the receipt,
+		// parented to the reporter's report.send span.
+		if m.Span != 0 {
+			n.cfg.Trace.Mark("report.recv", int(m.Origin), m.Round, m.Span)
+		}
+		n.cfg.Trace.AddSpans(m.Spans)
+	}
 }
 
 // computeAndDisseminateLocked decides the round from whichever reports

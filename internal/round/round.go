@@ -11,7 +11,6 @@
 //     stored one (equivocation).
 //  2. Solve   excises what fails the consistency checks (Config.Excision),
 //     assembles the statistics table from the surviving reports,
-//     restricts the links to those with at least one reporting endpoint,
 //     runs GLOBAL ESTIMATES + SHIFTS (under excision retrying without the
 //     most-suspect reporter while a lie keeps the system infeasible), and
 //     decides the outcome: the root's sync component, the missing and
@@ -20,9 +19,9 @@
 //
 // A missing report fills in with Lemma 6.1's worst case: its links keep
 // only the surviving endpoint's statistics under the configured
-// assumption bounds, and a link both of whose endpoints went silent
-// contributes no constraint. The precision then covers exactly the root's
-// sync component.
+// assumption bounds, and a link both of whose endpoints went silent has
+// empty statistics, so its m~ls is +Inf and it contributes no constraint.
+// The precision then covers exactly the root's sync component.
 //
 // The package reads no clock: phase timings reach it through the
 // transport's observer, and the transport supplies the round's wall or
@@ -271,12 +270,8 @@ func (s *State) Solve(observe obs.PhaseObserver) *Decision {
 				}
 			}
 		}
-		links := s.cfg.Links
-		if len(d.Missing) > 0 || len(d.Excised) > 0 {
-			links = s.reportingLinks()
-		}
 		var err error
-		res, err = core.SynchronizeSystem(s.cfg.N, links, d.Table, core.DefaultMLSOptions(), opts)
+		res, err = core.SynchronizeSystem(s.cfg.N, s.cfg.Links, d.Table, core.DefaultMLSOptions(), opts)
 		if err == nil {
 			break
 		}
@@ -321,22 +316,6 @@ func (s *State) Solve(observe obs.PhaseObserver) *Decision {
 		rec.Achieved, rec.Optimal, rec.Ratio = qr.Achieved, qr.Optimal, finiteOr(qr.Ratio, -1)
 	}
 	return d
-}
-
-// reportingLinks keeps the links with statistics from at least one
-// endpoint: the reporting subgraph. Links both of whose endpoints went
-// silent contribute no constraint (their observed extremes are the empty
-// conventions of Section 6.1) and are dropped outright.
-func (s *State) reportingLinks() []core.Link {
-	kept := make([]core.Link, 0, len(s.cfg.Links))
-	for _, l := range s.cfg.Links {
-		_, okP := s.reports[l.P]
-		_, okQ := s.reports[l.Q]
-		if okP || okQ {
-			kept = append(kept, l)
-		}
-	}
-	return kept
 }
 
 // finiteOr returns v, or alt when v is infinite or NaN.

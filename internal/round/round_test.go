@@ -95,7 +95,9 @@ func complete(n int) [][2]model.ProcID {
 // TestSolveMatchesDirectSolve drives hand-built report sets through
 // Absorb and Solve and checks each decision against core.SynchronizeSystem
 // run directly on the instance the round should have solved: the
-// surviving reports' table over the reporting subgraph's links.
+// surviving reports' table over the reporting subgraph's links. The round
+// itself solves over every declared link; a link both of whose endpoints
+// went silent has +Inf m~ls, so the two must agree bit for bit.
 func TestSolveMatchesDirectSolve(t *testing.T) {
 	path := [][2]model.ProcID{{0, 1}, {1, 2}, {2, 3}}
 	ring := [][2]model.ProcID{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
